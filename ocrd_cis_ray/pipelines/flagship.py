@@ -13,7 +13,7 @@ import pandas as pd
 
 from ..corpus import synth_batch, synth_variants_batch
 from ..stages.align import align_variants
-from ..stages.extract import extract_spans_batch, flatten_spans_batch
+from ..stages.extract import extract, flatten_spans_batch
 from ..stages.metrics import cer_by_source
 
 
@@ -30,9 +30,7 @@ def raw_corpus(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
 
 def extract_pipeline(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
     """read → synthesize raw interleaved docs → extract/normalize spans."""
-    return raw_corpus(sf_dir, pages_per_doc=pages_per_doc, seed=seed).map_batches(
-        extract_spans_batch, batch_format="pyarrow"
-    )
+    return extract(raw_corpus(sf_dir, pages_per_doc=pages_per_doc, seed=seed))
 
 
 def materialize_corpus(sf_dir: str, out_dir: str, *, pages_per_doc: int = 1, seed: int = 42, files: int = 256) -> str:
@@ -66,7 +64,7 @@ def corpus_extract_pipeline(corpus_dir: str):
     sources/corpus_io dispatch) → extract/normalize spans."""
     from ..sources.corpus_io import read_corpus
 
-    return read_corpus(corpus_dir).map_batches(extract_spans_batch, batch_format="pyarrow")
+    return extract(read_corpus(corpus_dir))
 
 
 def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
