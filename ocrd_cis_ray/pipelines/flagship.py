@@ -10,6 +10,7 @@ executor, nothing materializes the corpus on the driver.
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 from ..corpus import synth_batch, synth_variants_batch
 from ..stages.align import align_variants
@@ -69,8 +70,6 @@ def corpus_extract_pipeline(corpus_dir: str):
 
 def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
     """read materialized corpus → extract → variants → fused align+CER."""
-    import ray.data as rd
-
     docs = corpus_extract_pipeline(corpus_dir)
     return _evaluate_from_docs(docs, seed=seed, sources=sources)
 

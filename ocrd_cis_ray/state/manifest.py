@@ -8,8 +8,11 @@ engine needs per-partition granularity (north_rule): each stage writes
 one output directory per doc_id range partition, committed atomically
 (tmp dir + rename) together with a manifest row recording
 (partition id, key range, input fingerprint, row count, status). A
-resumed run lists committed partitions and filters them out of the
-read — no recomputation of finished work.
+resumed run lists committed partitions and skips WRITING them: it still
+recomputes the upstream Dataset once, because the partition bounds are
+drawn from a key sample of that Dataset, and it rewrites only the
+partitions that are missing or stale. A resume that reads only the
+uncommitted inputs needs input-keyed partitions (ROADMAP item 2).
 
 Layout:
 
@@ -182,50 +185,54 @@ def partitioned_write_pass(
     measured 13 s for a 2 s write workload at sf0.1). A kill MID-PASS
     commits nothing and leaves only .tmp-* dirs, which the next run
     sweeps and redoes; once committed, reruns skip fingerprint- and
-    range-matched partitions.
+    range-matched partitions, and run no write pass when every partition
+    matches. An empty input unpublishes every committed partition.
     """
     import numpy as np
     import pyarrow as pa
+    import ray
 
     ds = ds.materialize()
+    # key sample in Arrow, one task per block and no exchange: every
+    # block contributes its rows 0, stride, 2*stride, ... so the sample
+    # holds at most sample_limit + one row per block keys and does not
+    # depend on the order in which blocks arrive (count() is metadata on
+    # a materialized Dataset). With <= sample_limit rows it is every key.
+    stride = max(1, -(-ds.count() // sample_limit))
 
-    # key projection via a UDF, NOT ds.select_columns: Ray's map_groups
-    # emits schema-less EMPTY blocks for empty sort partitions, and the
-    # built-in Project operator raises KeyError on them (a UDF is simply
-    # not invoked for 0-row blocks, and pandas concat ignores fully
-    # column-less empties for dtype purposes — the key dtype survives).
-    def _key_only(df) -> "pd.DataFrame":
-        import pandas as pd
-
-        if key in df.columns:
-            return df[[key]]
-        if len(df) == 0:
-            return pd.DataFrame()
+    # a UDF, NOT ds.select_columns: Ray's map_groups emits schema-less
+    # EMPTY blocks for empty sort partitions, and the built-in Project
+    # operator raises KeyError on them
+    def _key_sample(t: pa.Table) -> pa.Table:
+        if key in t.column_names:
+            return t.select([key]).take(np.arange(0, t.num_rows, stride))
+        if t.num_rows == 0:
+            return t
         raise KeyError(f"write key {key!r} missing from a non-empty block")
 
-    sampled = (
-        ds.map_batches(_key_only, batch_format="pandas")
-        .randomize_block_order(seed=42)
-        .limit(sample_limit)
-        .to_pandas()
+    sampled = ray.get(
+        ds.map_batches(_key_sample, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).to_arrow_refs()
     )
-    os.makedirs(out_dir, exist_ok=True)
-    if len(sampled) == 0:  # all blocks empty (e.g. every doc filtered)
-        return {"completed": 0, "skipped": 0, "rows": 0}
-    sample = sampled[key].sort_values().to_numpy()
-    if stringify_key:
-        sample = np.asarray(sorted(str(x) for x in sample), dtype=object)
-    idx = [round(i * len(sample) / n_partitions) for i in range(1, n_partitions)]
-    bounds = sorted({sample[min(i, len(sample) - 1)] for i in idx})
-    bounds = [b.item() if isinstance(b, np.generic) else b for b in bounds]
+    # len(), not num_rows: an empty block the UDF never saw can come
+    # back as a pandas DataFrame
+    keys = [t[key] for t in sampled if len(t)]
     partitions: list[tuple] = []
-    prev = None
-    for b in bounds:
-        partitions.append((prev, b))
-        prev = b
-    partitions.append((prev, None))
+    bounds: list = []
+    if keys:  # else all blocks are empty (e.g. every doc filtered)
+        sample = np.sort(pa.chunked_array(keys).to_numpy())
+        if stringify_key:
+            sample = np.asarray(sorted(str(x) for x in sample), dtype=object)
+        idx = [round(i * len(sample) / n_partitions) for i in range(1, n_partitions)]
+        bounds = sorted({sample[min(i, len(sample) - 1)] for i in idx})
+        bounds = [b.item() if isinstance(b, np.generic) else b for b in bounds]
+        prev = None
+        for b in bounds:
+            partitions.append((prev, b))
+            prev = b
+        partitions.append((prev, None))
     n_parts = len(partitions)
 
+    os.makedirs(out_dir, exist_ok=True)
     for name in os.listdir(out_dir):
         if name.startswith(".tmp-"):
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
@@ -238,16 +245,24 @@ def partitioned_write_pass(
         and rec.get("lo") == lo
         and rec.get("hi") == hi
     }
-    for pid in range(n_parts):
-        if pid in skip:
-            continue
-        if pid in done:  # stale: inputs or bounds changed — invalidate
-            try:
-                os.remove(os.path.join(_manifest_dir(out_dir), f"{pid:05d}.json"))
-            except OSError:
-                pass
+    # everything published that this run does not keep is stale: inputs
+    # or bounds changed, the run derives fewer partitions (none when the
+    # input is empty), or a kill came between rename and commit
+    published = {
+        int(name[len("part="):])
+        for name in os.listdir(out_dir)
+        if name.startswith("part=") and name[len("part="):].isdigit()
+    }
+    for pid in (set(done) | published) - skip:
+        try:
+            os.remove(os.path.join(_manifest_dir(out_dir), f"{pid:05d}.json"))
+        except FileNotFoundError:
+            pass
         if os.path.isdir(partition_dir(out_dir, pid)):
             shutil.rmtree(partition_dir(out_dir, pid))
+    rows_total = sum(int(done[p].get("rows", 0)) for p in skip)
+    if len(skip) == n_parts:  # nothing to write: no pass over the blocks
+        return {"completed": 0, "skipped": len(skip), "rows": rows_total}
     token = uuid.uuid4().hex
 
     def tmp_for(p: int) -> str:
@@ -275,7 +290,6 @@ def partitioned_write_pass(
 
     ds.map_batches(_split, batch_format="pyarrow").materialize()
     completed = 0
-    rows_total = sum(int(done[p].get("rows", 0)) for p in skip)
     for pid, (lo, hi) in enumerate(partitions):
         if pid in skip:
             continue
@@ -312,7 +326,7 @@ def write_resumable(
     per-partition manifested so a killed job resumes). Resume/commit
     semantics live in ``partitioned_write_pass``; this sink only
     defines the parquet batch format. Tradeoff vs the per-partition
-    ``run_partitioned`` loop (still used by cutter/ingest): the single
+    ``run_partitioned`` loop (still used by ingest): the single
     pass is ~6x faster, but a kill mid-pass redoes the whole write.
     """
     import hashlib

@@ -206,3 +206,88 @@ def test_write_resumable_tolerates_schemaless_empty_blocks(ray_session, tmp_path
     out2 = str(tmp_path / "empty")
     r = write_resumable(empty, out2, key="doc_id", n_partitions=4, stage="s", input_fingerprint="f")
     assert r == {"completed": 0, "skipped": 0, "rows": 0}
+
+
+def _part_doc_ids(out: str) -> list:
+    ids: list = []
+    for name in os.listdir(out):
+        if name.startswith("part="):
+            for f in os.listdir(os.path.join(out, name)):
+                ids += pq.read_table(os.path.join(out, name, f), columns=["doc_id"])["doc_id"].to_pylist()
+    return ids
+
+
+def test_write_resumable_empty_rerun_unpublishes_stale_output(ray_session, tmp_path):
+    """A rerun whose input is empty must not leave the partitions of an
+    earlier run with other inputs published."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    out = str(tmp_path / "sink")
+    t = pa.table({"doc_id": list(range(40)), "text": ["x"] * 40})
+    r = write_resumable(rd.from_arrow(t), out, n_partitions=4, stage="s", input_fingerprint="A")
+    assert r["completed"] == 4 and r["rows"] == 40
+    os.makedirs(os.path.join(out, ".tmp-left-by-a-kill"))
+
+    r = write_resumable(rd.from_arrow(t.slice(0, 0)), out, n_partitions=4, stage="s", input_fingerprint="B")
+    assert r == {"completed": 0, "skipped": 0, "rows": 0}
+    assert completed_partitions(out) == {}
+    assert [n for n in os.listdir(out) if n != "_manifest"] == []
+    assert os.listdir(os.path.join(out, "_manifest")) == []
+
+
+def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path):
+    """With more rows than sample_limit the partition bounds must not
+    depend on the order of the blocks: a rerun over the same rows in
+    other blocks order skips every partition."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    ids = np.random.default_rng(3).permutation(500)
+    blocks = [pa.table({"doc_id": ids[i : i + 50], "text": ["x"] * 50}) for i in range(0, 500, 50)]
+    out = str(tmp_path / "sink")
+    kw = dict(n_partitions=4, stage="s", input_fingerprint="f", sample_limit=50)
+    r1 = write_resumable(rd.from_arrow(blocks), out, **kw)
+    assert r1["completed"] == 4 and r1["rows"] == 500
+    r2 = write_resumable(rd.from_arrow(blocks[::-1]), out, **kw)
+    assert r2 == {"completed": 0, "skipped": 4, "rows": 500}
+    assert sorted(_part_doc_ids(out)) == list(range(500))
+
+
+def test_write_resumable_kill_at_every_partition_boundary(ray_session, tmp_path, monkeypatch):
+    """A kill after k of n commits: the rerun writes exactly the n - k
+    missing partitions, skips the k committed ones, and publishes every
+    input row once with no .tmp-* dir left."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state import manifest
+
+    t = pa.table({"doc_id": list(range(40)), "text": ["x"] * 40})
+    blocks = [t.slice(i, 10) for i in range(0, 40, 10)]
+    n = 4
+    real_commit = manifest.commit_partition
+    for k in range(n):
+        out = str(tmp_path / f"sink{k}")
+        commits = []
+
+        def dying_commit(out_dir, partition, rec, k=k, commits=commits):
+            if len(commits) == k:
+                raise RuntimeError("killed")
+            commits.append(partition)
+            real_commit(out_dir, partition, rec)
+
+        monkeypatch.setattr(manifest, "commit_partition", dying_commit)
+        with pytest.raises(RuntimeError, match="killed"):
+            manifest.write_resumable(rd.from_arrow(blocks), out, n_partitions=n, stage="s", input_fingerprint="f")
+        monkeypatch.setattr(manifest, "commit_partition", real_commit)
+
+        r = manifest.write_resumable(rd.from_arrow(blocks), out, n_partitions=n, stage="s", input_fingerprint="f")
+        assert r == {"completed": n - k, "skipped": k, "rows": 40}
+        assert sorted(_part_doc_ids(out)) == list(range(40))
+        assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
