@@ -3302,13 +3302,14 @@ def q72_postcorrect(sf_dir: str):
 
 def q73_ocr_chain(sf_dir: str):
     """Full OCR lifecycle over page media: degrade → preprocess →
-    segment → recognize (actor pool) → CER per engine → post-correct the
-    noisier engine → CER after. Rows-only (image pipeline + learned
-    ranking aren't SQL-expressible); the pytest suite asserts the CER
-    ordering and determinism."""
+    segment → recognize → CER per engine → post-correct the noisier
+    engine → CER after, every stage as tasks on the session's warm
+    workers. Rows-only (image pipeline + learned ranking aren't
+    SQL-expressible); the pytest suite asserts the CER ordering and
+    determinism."""
     from ocrd_cis_ray.pipelines.ocr_chain import run_ocr_chain
 
-    return run_ocr_chain(sf_dir, concurrency=2)
+    return run_ocr_chain(sf_dir)
 
 
 # ---------------------------------------------------------------------------

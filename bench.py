@@ -151,7 +151,7 @@ def run_bench() -> dict:
     timed("flagship_align_eval", lambda: flagship.corpus_evaluate_pipeline(corpus_dir).to_pandas())
 
     if os.environ.get("GRAFT_HEADLINE_ONLY"):
-        # the scaling legs also time the OCR chain (actor-pool heavy)
+        # the scaling legs also time the OCR chain (media-heavy tasks)
         # and q97 (shuffle-bearing gate chain) so the >=0.8 efficiency
         # criterion is evidenced beyond the map-heavy headline
         # (VERDICT r4 item 9); repeat=1 here — run_scaling de-noises by
@@ -160,7 +160,7 @@ def run_bench() -> dict:
 
         timed(
             "flagship_ocr_chain",
-            lambda: run_ocr_chain(SF_DIR, concurrency=max(2, NUM_CPUS // 4)),
+            lambda: run_ocr_chain(SF_DIR),
             repeat=1,
         )
         timed(
@@ -245,13 +245,13 @@ def run_bench() -> dict:
     # pipeline; the max still lands in spreads
     chain_out = timed(
         "flagship_ocr_chain",
-        lambda: run_ocr_chain(SF_DIR, concurrency=max(2, NUM_CPUS // 4)),
+        lambda: run_ocr_chain(SF_DIR),
         repeat=3,
     )
     rebalance_stats = chain_out.attrs.get("rebalance")
 
     # same chain over the content-addressed media sidecar (rows carry
-    # cas:// refs; the OCR actor hydrates lazily) — the scale-layout
+    # cas:// refs; the OCR task hydrates lazily) — the scale-layout
     # variant; expected equal within noise since media is written+read
     # once either way on this corpus
     import shutil
@@ -259,9 +259,7 @@ def run_bench() -> dict:
     shutil.rmtree("/tmp/graft_cas_bench", ignore_errors=True)
     timed(
         "flagship_ocr_chain_sidecar",
-        lambda: run_ocr_chain(
-            SF_DIR, concurrency=max(2, NUM_CPUS // 4), media_sidecar="/tmp/graft_cas_bench"
-        ),
+        lambda: run_ocr_chain(SF_DIR, media_sidecar="/tmp/graft_cas_bench"),
         repeat=1,
     )
 
@@ -396,7 +394,7 @@ def run_scaling() -> dict:
     eff = speedup / (hi_cpus / lo_cpus)
 
     # per-pipeline efficiencies beyond the map-heavy headline: the
-    # actor-pool OCR chain and the shuffle-bearing q97 gate chain
+    # media-heavy OCR chain and the shuffle-bearing q97 gate chain
     # (best-of-2 per leg via the min over the interleaved runs)
     def per_query(name):
         ql = min(r["queries"][name] for r in (lo1, lo2) if name in r["queries"])

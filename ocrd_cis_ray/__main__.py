@@ -41,7 +41,6 @@ def main(argv=None):
 
     chain = sub.add_parser("ocr-chain", help="full OCR-over-media lifecycle (the aio super-pipeline analog)")
     chain.add_argument("--sf-dir", default="/root/testdata/sf0.001")
-    chain.add_argument("--concurrency", type=int, default=4)
     chain.add_argument("--num-cpus", type=int, default=8)
     chain.add_argument(
         "-o", "--output", default=None,
@@ -140,9 +139,7 @@ def main(argv=None):
         elif args.cmd == "ocr-chain":
             from .pipelines.ocr_chain import run_ocr_chain
 
-            out = run_ocr_chain(
-                args.sf_dir, concurrency=args.concurrency, out_dir=args.output
-            )
+            out = run_ocr_chain(args.sf_dir, out_dir=args.output)
             print(out.to_json(orient="records"))
             if "write" in out.attrs:
                 print(json.dumps(out.attrs["write"]))

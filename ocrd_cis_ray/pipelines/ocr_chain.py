@@ -6,17 +6,20 @@ OCR engine recognize → align → profile/post-correct → stats):
       → per-OCR-source degradation (seeded noise; the "two scanners")
       → preprocessing (binarize → despeckle)          [stateless tasks]
       → line segmentation (recursive XY cut)          [stateless tasks]
-      → line recognition                              [actor pool]
+      → line recognition                              [stateless tasks]
       → n-way join of OCR sources + GT                [page-local]
       → per-source CER                                 [partial+reduce]
-      → post-correction of the worst source            [actor pool]
+      → post-correction of the worst source           [tasks, per-worker state]
       → CER after correction                           [partial+reduce]
 
-Both engine channels run fused in ONE actor pool and the per-line
-source join happens page-locally inside the actor (the GT text rides
-on the page row), so the chain moves media exactly once (render →
-actors) and text never shuffles. GT lines are derived from the same
-deterministic page layout, so CER-before/after has exact goldens.
+Both engine channels run fused in ONE task per pages batch and the
+per-line source join happens page-locally inside it (the GT text rides
+on the page row), so the chain moves media exactly once (render → OCR
+tasks) and text never shuffles. Every stage runs as plain Ray Data
+tasks on the session's warm workers: the chain starts no processes per
+run, and no stage holds a CPU that the tasks downstream of it need.
+GT lines are derived from the same deterministic page layout, so
+CER-before/after has exact goldens.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def synth_pages(sf_dir: str, *, n_blocks: int | None = None, carry_text: bool = 
     if n_blocks is None:
         # 6x CPU: the fused OCR stage is CPU-bound at ~15 ms/page, so
         # finer blocks cost nothing in overhead but remove the 2-wave
-        # straggler tail on the actor pool (measured 11.8 s @ 2xCPU ->
+        # straggler tail on the OCR stage (measured 11.8 s @ 2xCPU ->
         # 9.9 s @ 6xCPU for the OCR stage at sf0.1/32 cpus)
         n_blocks = max(16, 6 * int(ray.cluster_resources().get("CPU", 8)))
     ds = ds.repartition(n_blocks)
@@ -269,21 +272,18 @@ _CHANNEL_CONFIGS = (
 
 
 class DualChannelOCR:
-    """Fused OCR channels: ONE actor pool runs degrade -> binarize ->
-    denoise -> segment -> recognize for BOTH engine configs per pages
-    batch.
+    """Fused OCR channels: one call runs degrade -> binarize -> denoise
+    -> segment -> recognize for BOTH engine configs per pages batch.
 
-    Why fused: the split pipeline ran two recognizer actor pools (up
-    to 2x cluster-width actor spawns) plus four task stages per
-    channel, with every intermediate media table crossing the object
-    store. Per-batch fusion keeps the degraded page, the binarized
-    page and the line crops in actor-local memory — the only rows
-    that leave the stage are the final TEXT lines (tuple-weight, not
-    media-weight), and actor spawn cost is paid once, which is what
-    made the chain ~1.8x slower when it ran after other pipelines in
-    the same session (fresh actor processes fork slower in a session
-    full of workers). Recognition state (template bank / LSTM) loads
-    once per actor, shared by both channels."""
+    Why fused: the split pipeline ran two recognizer stages plus four
+    task stages per channel, with every intermediate media table
+    crossing the object store. Per-batch fusion keeps the degraded
+    page, the binarized page and the line crops in task-local memory —
+    the only rows that leave the stage are the final TEXT lines
+    (tuple-weight, not media-weight). The recognition state (template
+    bank / LSTM) is shared by both channels. A build is cheap (well
+    under the cost of one page), so the chain builds one per batch
+    inside a plain task (``_ocr_wide_batch``)."""
 
     def __init__(self, *, seed: int = 42, model_path: str | None = None, emit_wide: bool = False,
                  sidecar_root: str | None = None):
@@ -354,7 +354,7 @@ class DualChannelOCR:
         """Zero-shuffle wide path: the page row carries its source text
         (synth_pages carry_text=True), the GT lines derive from it with
         the SAME page_lines layout that rendered the page, and both OCR
-        channels run in this actor — so the (doc_id, line_no) join that
+        channels run in this call — so the (doc_id, line_no) join that
         the long path pays a bucketed exchange for is a page-LOCAL dict
         merge here. Emits one row per (doc_id, line_no) with one text
         column per source, exactly the frame wide_lines would pivot to:
@@ -396,6 +396,10 @@ class DualChannelOCR:
             }
         )
 
+
+def _ocr_wide_batch(batch: pa.Table, *, sidecar_root: str | None) -> pa.Table:
+    """Task form of the fused OCR stage (``DualChannelOCR`` wide path)."""
+    return DualChannelOCR(emit_wide=True, sidecar_root=sidecar_root)(batch)
 
 
 def gt_lines(sf_dir: str):
@@ -492,7 +496,6 @@ def _cer_reduce(partials, stage: str) -> pd.DataFrame:
 def run_ocr_chain(
     sf_dir: str,
     *,
-    concurrency: int = 4,
     rebalance: bool = True,
     out_dir: str | None = None,
     media_sidecar: str | None = None,
@@ -506,25 +509,30 @@ def run_ocr_chain(
     (state/mediastore.py). When set, the rendered pixels are
     externalized right after the render — page rows carry only the
     ``cas://`` ref, so the materialize and any rebalance exchange move
-    O(refs) rows — and the OCR actor hydrates them lazily per batch.
+    O(refs) rows — and the OCR task hydrates them lazily per batch.
     The default (None) keeps inline payloads: on this corpus the media
     is written + read exactly once either way, so inline avoids the
     extra blob round-trip; sidecar wins as soon as more than one stage
     or run consumes the same media, or an exchange would move it.
 
     Shuffle budget: ZERO media-or-line exchanges. The page row carries
-    its GT text, both OCR channels run fused per actor, and the wide
+    its GT text, both OCR channels run fused per task, and the wide
     (doc_id, line_no) frame is assembled page-locally inside the OCR
-    actor (DualChannelOCR emit_wide). CER, confusion learning, and
-    line correction all run row-locally over the materialized wide
-    frame. (The gated rebalance pays one media exchange ONLY when the
-    realized block-byte spread exceeds its threshold.)
+    task (DualChannelOCR emit_wide). CER, confusion learning, ranker
+    training and line correction all run row-locally over the
+    materialized wide frame. (The gated rebalance pays one media
+    exchange ONLY when the realized block-byte spread exceeds its
+    threshold.)
+
+    Execution: every stage is a plain Ray Data task on the session's
+    warm workers — OCR builds its (cheap) DualChannelOCR per batch,
+    correction rebuilds its LineCorrector at most once per worker
+    (``postcorrect.correct_lines``). No actor pool: the chain starts no
+    processes per run and finishes on a 1-CPU session.
     """
     import os
     import time
     from functools import partial
-
-    import ray
 
     _t0 = [time.perf_counter()]
     _trace = os.environ.get("GRAFT_CHAIN_TIMING")
@@ -538,9 +546,11 @@ def run_ocr_chain(
     # lexicon from the corpus vocabulary (the reference's language
     # dict), built distributed + top-V truncated — never a full-corpus
     # driver scan (textops.token_frequencies). Kicked off in a driver
-    # THREAD so its (text-only, ~2 s) Dataset job overlaps the
-    # media-heavy OCR phase — the two jobs share the Ray scheduler,
-    # the result is order-independent.
+    # THREAD so its (text-only) Dataset job overlaps the media-heavy
+    # OCR phase — the two jobs share the Ray scheduler, the result is
+    # order-independent. The overlap pays even with task-only stages:
+    # run one after the other (96 pages, 2 Ray CPUs on a 1-vCPU VM),
+    # the chain took ~14 % more CPU and ~0.5 s more wall time.
     from concurrent.futures import ThreadPoolExecutor
 
     import ray.data as rd
@@ -570,21 +580,17 @@ def run_ocr_chain(
         else:
             pages = pages.materialize()
         _mark("pages")
-        pool_max_ocr = max(concurrency, int(ray.cluster_resources().get("CPU", concurrency)))
         # ZERO-shuffle wide frame: the page row carries its GT text, both
-        # OCR channels run fused in one actor, and the (doc_id, line_no)
-        # source join happens page-locally inside the actor — the bucketed
+        # OCR channels run fused in one task, and the (doc_id, line_no)
+        # source join happens page-locally inside it — the bucketed
         # wide_lines pivot this chain used to pay (~7 s of pure exchange at
         # sf0.1/32cpus: the pivot compute is negligible, the all-to-all is
         # not) is gone. wide_lines stays for consumers that genuinely hold
         # long-form variant rows (q50–q52, align eval).
         wide = pages.map_batches(
-            DualChannelOCR,
-            fn_constructor_kwargs={"emit_wide": True, "sidecar_root": media_sidecar},
+            partial(_ocr_wide_batch, sidecar_root=media_sidecar),
             batch_format="pyarrow",
             batch_size=8,
-            concurrency=(max(1, pool_max_ocr // 2), pool_max_ocr),
-            num_cpus=1,
         ).materialize()
         _mark("ocr_wide")
 
@@ -608,7 +614,7 @@ def run_ocr_chain(
         # wide, SAMPLE-BOUND: the confusion estimate saturates after a few
         # thousand aligned pairs, so cap the O(len²) edit alignments at 64
         # differing lines per batch instead of paying one per corpus line
-        from ..stages.postcorrect import LineCorrector, learn_confusions
+        from ..stages.postcorrect import correct_lines, learn_confusions, train_ranker
 
         def to_pairs(t: pa.Table) -> pa.Table:
             return pa.table({"text": t["OCR-2"], "gt_text": t["GT"]})
@@ -627,15 +633,12 @@ def run_ocr_chain(
         # 15-215) trained on GT'd lines; train_ranker's model-selection
         # gate falls back to the fixed vote unless the learned decision
         # beats it on the training sample
-        from ..stages.postcorrect import train_ranker
-
         def to_train(t: pa.Table) -> pa.Table:
             return pa.table(
                 {"text": t["OCR-2"], "peer_text": t["OCR-1"], "gt_text": t["GT"]}
             )
 
-        pool_max = max(concurrency, int(ray.cluster_resources().get("CPU", concurrency)))
-        # full-corpus examples: the per-actor triple cache makes extraction
+        # full-corpus examples: the per-worker triple cache makes extraction
         # scale with DISTINCT (token, peer, gt) triples, not line count, and
         # marginal hard examples are exactly what the decision maker needs
         ranker = train_ranker(
@@ -646,22 +649,16 @@ def run_ocr_chain(
         )
         _mark("train_ranker")
 
-        # line-level correction inside the actor pool (cursor matcher + nOCR
-        # peer vote per token; no token-level shuffle)
+        # line-level correction as tasks (cursor matcher + nOCR peer vote
+        # per token; no token-level shuffle)
         def to_correct(t: pa.Table) -> pa.Table:
             return pa.table(
                 {"doc_id": t["doc_id"], "line_no": t["line_no"], "text": t["OCR-2"],
                  "peer_text": t["OCR-1"], "GT": t["GT"]}
             )
 
-        fixed = wide.map_batches(to_correct, batch_format="pyarrow").map_batches(
-            LineCorrector,
-            fn_constructor_args=(lexicon, confusions),
-            fn_constructor_kwargs={"ranker": ranker},
-            batch_format="pyarrow",
-            concurrency=(max(1, pool_max // 8), pool_max),
-            batch_size=256,
-            num_cpus=0.5,
+        fixed = correct_lines(
+            wide.map_batches(to_correct, batch_format="pyarrow"), lexicon, confusions, ranker=ranker
         )
 
         write_stats = None
@@ -669,7 +666,7 @@ def run_ocr_chain(
             # the corrected corpus is a STAGE OUTPUT (north_rule: every
             # stage per-partition manifested); materialize the text-only
             # lines once so the sink and the CER reduce share one
-            # execution of the corrector pool
+            # execution of the correction stage
             from ..state.manifest import write_resumable
 
             fixed = fixed.materialize()

@@ -1,5 +1,6 @@
 """Post-correction — lexicon + channel-model candidate ranking as a
-stateful actor-pool stage.
+stateful stage: an actor pool over tokens (``postcorrect_tokens``) or
+plain tasks over lines with once-per-worker state (``correct_lines``).
 
 Reference pipeline (ocrd_cis/postcorrect/cli.py + the packaged Java
 decision maker): a profiler proposes correction candidates for
@@ -11,7 +12,8 @@ ocrd-tool.json:490-495) and rewrites tokens where the ranker is
 confident.
 
 This native reimplementation:
-- lexicon index built ONCE per actor in ``__init__`` — a SymSpell-style
+- lexicon index built ONCE per stage instance in ``__init__`` (per
+  actor, or per worker process for the task stages) — a SymSpell-style
   deletion-neighbourhood index (public algorithm) for distance ≤ 2
   candidate generation (the "profiler");
 - channel model = (src, dst) character-confusion weights, learned from
@@ -295,7 +297,8 @@ class PostCorrector:
 
 
 class LineCorrector(PostCorrector):
-    """PostCorrector exposed as a line-level actor stage."""
+    """PostCorrector as a line-level batch callable (``correct_lines``
+    runs it as tasks with a once-per-worker instance)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
         return self.correct_lines_batch(batch)
@@ -467,24 +470,50 @@ class RankerExampleUDF(PostCorrector):
         return pa.table(cols)
 
 
-# worker-process-level single-slot cache for task-based extraction:
-# ranker example extraction runs as plain Ray Data TASKS (reusing the
-# session's prewarmed worker processes — late actor-pool spawns in a
-# crowded session cost seconds of ramp) with the PostCorrector state
-# broadcast ONCE via ray.put and rebuilt at most once per worker
-_EXTRACT_STATE: list = [None, None]  # [state_ref, udf]
+# Once-per-worker state for task stages: the caller broadcasts the
+# constructor inputs ONCE with ray.put, and each worker process builds
+# the stage object from them at most once per run, on the session's
+# warm workers (an actor pool would spawn fresh processes per run). One
+# slot, keyed by the ref's hex id: holding the ObjectRef itself in a
+# module global would make the worker a borrower and pin the previous
+# run's lexicon/confusions in the object store until it ran again.
+_WORKER_STATE: dict = {}
 
 
-def _ranker_examples_batch(batch: pa.Table, state_ref) -> pa.Table:
-    import ray as _ray
+def worker_state(state_ref, cls):
+    """``cls(*args, **kwargs)`` for ``(args, kwargs) = ray.get(state_ref)``,
+    built once per worker process per ``state_ref``; a new ref replaces
+    the previous object."""
+    key = state_ref.hex()
+    if _WORKER_STATE.get("key") != key:
+        import ray
 
-    if _EXTRACT_STATE[0] != state_ref:  # ObjectRef equality is by id
-        lexicon, confusions, sample_rate, pc_kwargs = _ray.get(state_ref)
-        _EXTRACT_STATE[0] = state_ref
-        _EXTRACT_STATE[1] = RankerExampleUDF(
-            lexicon, confusions, sample_rate=sample_rate, **pc_kwargs
-        )
-    return _EXTRACT_STATE[1](batch)
+        _WORKER_STATE.clear()
+        args, kwargs = ray.get(state_ref)
+        _WORKER_STATE["obj"] = cls(*args, **kwargs)
+        _WORKER_STATE["key"] = key
+    return _WORKER_STATE["obj"]
+
+
+def _stage_batch(batch: pa.Table, *, cls, state_ref) -> pa.Table:
+    return worker_state(state_ref, cls)(batch)
+
+
+def correct_lines(lines_ds, lexicon: dict[str, int], confusions=None, *, ranker=None):
+    """Line-level correction of (text, peer_text, ...) rows as plain Ray
+    Data tasks: adds ``corrected_text``. The LineCorrector state
+    (lexicon index + channel model + ranker) is broadcast once and
+    rebuilt at most once per worker process, so no stage holds a CPU
+    that the tasks downstream of it need."""
+    import ray
+    from functools import partial
+
+    state_ref = ray.put(((lexicon, confusions), {"ranker": ranker}))
+    return lines_ds.map_batches(
+        partial(_stage_batch, cls=LineCorrector, state_ref=state_ref),
+        batch_format="pyarrow",
+        batch_size=256,
+    )
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray, *, iters: int = 300, lr: float = 0.5, l2: float = 1e-3) -> np.ndarray:
@@ -505,7 +534,6 @@ def train_ranker(
     confusions=None,
     *,
     sample_rate: float = 1.0,
-    concurrency: int = 4,
     min_examples: int = 20,
     **pc_kwargs,
 ):
@@ -513,8 +541,7 @@ def train_ranker(
     (text, peer_text, gt_text): distributed feature extraction as plain
     Ray Data tasks over the session's warm workers (PostCorrector state
     — lexicon index + channel model — broadcast once via ray.put and
-    rebuilt at most once per worker process; ``concurrency`` is
-    accepted for API stability but tasks self-scale), bounded by a
+    rebuilt at most once per worker process), bounded by a
     deterministic content-hash line sample, then a driver-side logistic
     fit over the (small, ≤ max_candidates rows per suspicious token)
     example table.
@@ -531,9 +558,9 @@ def train_ranker(
 
     # task-based extraction (no actor pool): state broadcast once,
     # rebuilt at most once per (already-warm) worker process
-    state_ref = ray.put((lexicon, confusions, sample_rate, pc_kwargs))
+    state_ref = ray.put(((lexicon, confusions), {"sample_rate": sample_rate, **pc_kwargs}))
     ex = lines_ds.map_batches(
-        partial(_ranker_examples_batch, state_ref=state_ref),
+        partial(_stage_batch, cls=RankerExampleUDF, state_ref=state_ref),
         batch_format="pyarrow",
         batch_size=512,
         num_cpus=0.5,

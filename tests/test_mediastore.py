@@ -143,13 +143,11 @@ def test_registry_stages_compose(tmp_path, ray_session):
 def test_ocr_chain_sidecar_parity(ray_session, sf_dir, tmp_path):
     """The chain over sidecar media produces the EXACT inline result
     (same CER frame) — media rides as refs through the materialize and
-    hydrates inside the OCR actor."""
+    hydrates inside the OCR task."""
     from ocrd_cis_ray.pipelines.ocr_chain import run_ocr_chain
 
-    inline = run_ocr_chain(sf_dir, concurrency=2)
-    sidecar = run_ocr_chain(
-        sf_dir, concurrency=2, media_sidecar=str(tmp_path / "cas")
-    )
+    inline = run_ocr_chain(sf_dir)
+    sidecar = run_ocr_chain(sf_dir, media_sidecar=str(tmp_path / "cas"))
     a = inline.sort_values(["stage", "source"]).reset_index(drop=True)
     b = sidecar.sort_values(["stage", "source"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)

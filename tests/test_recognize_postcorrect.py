@@ -1,5 +1,6 @@
-"""Recognizer actor (template OCR) and post-correction actor, plus the
-chained render → recognize → postcorrect pipeline."""
+"""Recognizer actor (template OCR) and post-correction stages (token
+actor pool, line tasks), plus the chained render → recognize →
+postcorrect pipeline."""
 
 from __future__ import annotations
 
@@ -174,7 +175,7 @@ def test_train_ranker_learns_keep_decision(ray_session):
 
     from ocrd_cis_ray.stages.postcorrect import train_ranker
 
-    w = train_ranker(rd.from_items(_ranker_lines()), RANK_LEX, concurrency=1)
+    w = train_ranker(rd.from_items(_ranker_lines()), RANK_LEX)
     assert w is not None
 
     batch = pa.table(
@@ -196,8 +197,8 @@ def test_train_ranker_deterministic(ray_session):
     from ocrd_cis_ray.stages.postcorrect import train_ranker
 
     lines = _ranker_lines()
-    w1 = train_ranker(rd.from_items(lines), RANK_LEX, concurrency=1)
-    w2 = train_ranker(rd.from_items(list(reversed(lines))), RANK_LEX, concurrency=2)
+    w1 = train_ranker(rd.from_items(lines), RANK_LEX)
+    w2 = train_ranker(rd.from_items(list(reversed(lines))), RANK_LEX)
     assert np.array_equal(w1, w2)
 
 
@@ -210,10 +211,55 @@ def test_train_ranker_gate_falls_back(ray_session):
     from ocrd_cis_ray.stages.postcorrect import train_ranker
 
     few = [{"text": "wxrld", "peer_text": "world", "gt_text": "world"}]
-    assert train_ranker(rd.from_items(few), RANK_LEX, concurrency=1) is None
+    assert train_ranker(rd.from_items(few), RANK_LEX) is None
     # every GT is the rank-0 candidate -> fixed vote is already perfect
     perfect = [{"text": t, "peer_text": gt, "gt_text": gt} for t, gt in _ERR]
-    assert train_ranker(rd.from_items(perfect), RANK_LEX, concurrency=1) is None
+    assert train_ranker(rd.from_items(perfect), RANK_LEX) is None
+
+
+def test_worker_state_builds_once_per_ref_and_holds_no_ref(ray_session):
+    """The once-per-worker cache rebuilds for a new state ref, reuses the
+    object for the same ref, and keeps only the ref's hex id: a held
+    ObjectRef would pin the previous run's state in the object store."""
+    import ray
+
+    from ocrd_cis_ray.stages import postcorrect
+
+    builds = []
+
+    def build(tag):
+        builds.append(tag)
+        return object()
+
+    ref_a, ref_b = ray.put((("a",), {})), ray.put((("b",), {}))
+    a = postcorrect.worker_state(ref_a, build)
+    assert postcorrect.worker_state(ref_a, build) is a
+    b = postcorrect.worker_state(ref_b, build)
+    assert b is not a and builds == ["a", "b"]
+    assert not any(isinstance(v, ray.ObjectRef) for v in postcorrect._WORKER_STATE.values())
+
+
+def test_correct_lines_follows_each_runs_lexicon(ray_session):
+    """The same lines corrected twice in one session, under lexicon A and
+    then lexicon B: each result follows its own lexicon. A worker cache
+    that served A's corrector to the second run would return rows built
+    from other inputs."""
+    import ray.data as rd
+
+    from ocrd_cis_ray.stages.postcorrect import LineCorrector, correct_lines
+
+    lines = [{"text": "wxrld hxllo", "peer_text": ""}] * 32
+    lex_a = {"world": 80, "hello": 100}
+    lex_b = {"wurld": 80, "hallo": 100}
+
+    def run(lex):
+        ds = rd.from_items(lines, override_num_blocks=8)
+        return correct_lines(ds, lex).to_pandas()["corrected_text"].tolist()
+
+    assert run(lex_a) == ["world hello"] * 32
+    assert run(lex_b) == ["wurld hallo"] * 32
+    direct = LineCorrector(lex_b)(pa.Table.from_pylist(lines[:1]))["corrected_text"].to_pylist()
+    assert direct == ["wurld hallo"]
 
 
 def test_recognizer_glyph_spans():

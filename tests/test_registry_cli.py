@@ -92,7 +92,7 @@ def test_cli_train_subcommand(ray_session, tmp_path):
     assert rec.codec.size() > 5
 
 
-def test_cli_ocr_chain_subcommand(ray_session):
+def test_cli_ocr_chain_subcommand(ray_session, sf_dir):
     """CLI ocr-chain (aio super-pipeline analog) runs at sf0.001 and
     reports raw + postcorrected CER rows."""
     import json as _json
@@ -103,7 +103,7 @@ def test_cli_ocr_chain_subcommand(ray_session):
 
     buf = io.StringIO()
     with redirect_stdout(buf):
-        rc = main(["ocr-chain", "--sf-dir", "/root/testdata/sf0.001", "--concurrency", "2"])
+        rc = main(["ocr-chain", "--sf-dir", sf_dir])
     assert rc in (0, None)
     rows = _json.loads(buf.getvalue().strip().splitlines()[-1])
     stages = {(r["stage"], r["source"]) for r in rows}
