@@ -18,7 +18,8 @@ which flattens the reference's PAGE-XML hierarchy
 ``offset`` document-order index).
 
 Nothing in this package calls ``ray.init()`` — sessions are owned by the
-driver, ``bench.py`` and the test fixture.
+caller: ``perfbench/run.py``, the test fixture, or the code that imports
+``__ray_entry__``.
 """
 
 __version__ = "0.1.0"

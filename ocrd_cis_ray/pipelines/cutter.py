@@ -82,12 +82,13 @@ def cut_training_lines(
     import ray
     import ray.data as rd
 
-    from ..state.manifest import write_resumable
+    from ..state.manifest import path_fingerprint, write_resumable
     from .ocr_chain import compose_page, page_lines
 
     from ..sources.media import encode_gray
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    doc_path = f"{sf_dir}/documents.parquet"
+    docs = rd.read_parquet(doc_path, columns=["doc_id", "text"])
     if n_blocks is None:
         n_blocks = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
     docs = docs.repartition(n_blocks)
@@ -123,5 +124,5 @@ def cut_training_lines(
         key="doc_id",
         n_partitions=n_partitions,
         stage="cut",
-        input_fingerprint=f"{sf_dir}:lh{line_height}",
+        input_fingerprint=f"{path_fingerprint(doc_path)}:lh{line_height}",
     )

@@ -569,14 +569,13 @@ def run_ocr_chain(
         # expensive media payload; the object store holds them for both);
         # rebalance=True re-partitions by byte-weighted doc_id ranges so the
         # fan-out sees equal-byte blocks even under media-size skew
-        rb_stats = None
         pages = synth_pages(sf_dir, carry_text=True)
         if media_sidecar is not None:
             from ..state.mediastore import externalize_media
 
             pages = externalize_media(pages, media_sidecar)
         if rebalance:
-            pages, rb_stats = rebalance_pages(pages)
+            pages, _ = rebalance_pages(pages)
         else:
             pages = pages.materialize()
         _mark("pages")
@@ -667,11 +666,15 @@ def run_ocr_chain(
             # stage per-partition manifested); materialize the text-only
             # lines once so the sink and the CER reduce share one
             # execution of the correction stage
-            from ..state.manifest import write_resumable
+            from ..state.manifest import path_fingerprint, write_resumable
 
             fixed = fixed.materialize()
             write_stats = write_resumable(
-                fixed, out_dir, key="doc_id", stage="postcorrect"
+                fixed,
+                out_dir,
+                key="doc_id",
+                stage="postcorrect",
+                input_fingerprint=path_fingerprint(f"{sf_dir}/documents.parquet"),
             )
 
         def fixed_wide(t: pa.Table) -> pa.Table:
@@ -696,8 +699,6 @@ def run_ocr_chain(
     out = pd.concat([cer_raw, cer_fixed], ignore_index=True)[
         ["stage", "source", "char_errors", "gt_chars", "char_error_rate"]
     ]
-    if rb_stats is not None:
-        out.attrs["rebalance"] = rb_stats  # surfaced by bench.py
     if write_stats is not None:
         out.attrs["write"] = write_stats
     return out

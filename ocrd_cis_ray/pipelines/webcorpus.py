@@ -1,7 +1,7 @@
 """End-to-end web-corpus extraction pipeline — the north_rule's
 main-content-extraction tier as ONE composed, resumable job:
 
-    crawled HTML pages
+    HTML pages
       -> DOM-heuristic main-content extraction (stages/webextract)
       -> mojibake/Unicode repair (stages/textops.fix_text_batch)
       -> quality curation: Gopher A1.1 + A1.2 + exact-dedup canonical
@@ -14,9 +14,9 @@ partition (fingerprint + range matched — state/manifest); the summary
 carries the per-stage drop metrics, so the run is observable without
 scanning the output.
 
-The HTML synthesis stage stands in for the crawl payload exactly as in
-q44 (deterministic, inversion-validated); a real deployment replaces
-that one stage with a WARC/HTML reader.
+The HTML synthesis stage stands in for fetched pages exactly as in q44
+(deterministic, inversion-validated); a real deployment replaces that
+one stage with an HTML reader.
 """
 
 from __future__ import annotations

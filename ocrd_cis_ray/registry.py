@@ -393,26 +393,6 @@ def _robots_gate(ds, **p):
 
 
 @register_stage(
-    "extract_metadata",
-    description="HTML head metadata: (doc_id, html) -> (doc_id, title, author, canonical, og_type), first occurrence wins",
-)
-def _extract_metadata(ds, **p):
-    from .stages.webmeta import extract_metadata
-
-    return extract_metadata(ds, **p)
-
-
-@register_stage(
-    "charset_decode",
-    description="charset sniff (BOM precedence + strict-UTF-8, latin-1 fallback) and decode of a binary payload column",
-)
-def _charset_decode(ds, **p):
-    from .stages.charset import detect_and_decode
-
-    return detect_and_decode(ds, **p)
-
-
-@register_stage(
     "quantile_tiers",
     defaults={"n_tiles": 3, "group": "lang", "score_col": "score", "id_col": "doc_id"},
     allowed=("snapshot",),

@@ -96,7 +96,7 @@ def ingest_resumable(input_dir: str, out_dir: str, *, n_partitions: int = 8) -> 
     per-partition granularity)."""
     import pyarrow.compute as pc
 
-    from ..state.manifest import run_partitioned
+    from ..state.manifest import path_fingerprint, run_partitioned
 
     # sample the doc_id range from file names (driver-side, names only)
     names = sorted(
@@ -129,17 +129,5 @@ def ingest_resumable(input_dir: str, out_dir: str, *, n_partitions: int = 8) -> 
     # resume invalidates affected partitions instead of serving stale
     # committed rows (the bounds are also re-derived from the listing
     # and checked per-partition by run_partitioned)
-    fp = _listing_fingerprint(input_dir)
+    fp = path_fingerprint(input_dir)
     return run_partitioned(make_ds, out_dir, ranges, stage="ingest", input_fingerprint=fp)
-
-
-def _listing_fingerprint(input_dir: str) -> str:
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=16)
-    for name in sorted(os.listdir(input_dir)):
-        if name.startswith("."):
-            continue
-        st = os.stat(os.path.join(input_dir, name))
-        h.update(f"{name}\x00{st.st_size}\x00{st.st_mtime_ns}\x00".encode())
-    return h.hexdigest()

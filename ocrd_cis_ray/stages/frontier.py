@@ -1,6 +1,6 @@
 """Crawl-frontier discovery + politeness-aware fetch scheduling —
-the library form of the q101/q108 compositions, shared by the driver
-queries and the staged ``pipelines/crawl.py``.
+the library form of the q101/q108 compositions used by the driver
+queries.
 
 Reference intent: the reference is a batch post-correction toolkit,
 but its workspace model (fetch files listed in a manifest, process,

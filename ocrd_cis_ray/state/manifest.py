@@ -31,6 +31,30 @@ import shutil
 import uuid
 
 
+def path_fingerprint(path: str) -> str:
+    """Input fingerprint of a file or a directory tree: a hash of the
+    relative name, size and mtime of every non-hidden file under
+    ``path``. New contents at the same path change it, so a resumed
+    run recomputes instead of serving rows built from earlier inputs.
+    Pass the inputs a stage reads, not a directory that may also hold
+    its output."""
+    import hashlib
+
+    files = []
+    if os.path.isdir(path):
+        for root, dirs, names in os.walk(path):
+            dirs[:] = [d for d in dirs if not d.startswith(".")]
+            files += [os.path.join(root, n) for n in names if not n.startswith(".")]
+    else:
+        files = [path]
+    h = hashlib.blake2b(digest_size=16)
+    for f in sorted(files):
+        st = os.stat(f)
+        name = os.path.relpath(f, path)
+        h.update(f"{name}\x00{st.st_size}\x00{st.st_mtime_ns}\x00".encode())
+    return h.hexdigest()
+
+
 def _manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 

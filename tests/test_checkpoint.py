@@ -113,18 +113,18 @@ def test_resume_invalidates_on_changed_inputs_or_bounds(ray_session, sf_dir, out
 
 
 def test_ingest_fingerprint_tracks_listing(tmp_path):
-    from ocrd_cis_ray.sources.ingest import _listing_fingerprint
+    from ocrd_cis_ray.state.manifest import path_fingerprint
 
     d = tmp_path / "in"
     d.mkdir()
     (d / "a.txt").write_text("one")
-    fp1 = _listing_fingerprint(str(d))
-    assert fp1 == _listing_fingerprint(str(d))  # stable
+    fp1 = path_fingerprint(str(d))
+    assert fp1 == path_fingerprint(str(d))  # stable
     (d / "b.txt").write_text("two")
-    fp2 = _listing_fingerprint(str(d))
+    fp2 = path_fingerprint(str(d))
     assert fp2 != fp1  # new file changes it
     os.utime(d / "a.txt", ns=(1, 1))
-    assert _listing_fingerprint(str(d)) != fp2  # touch changes it
+    assert path_fingerprint(str(d)) != fp2  # touch changes it
 
 
 def test_torn_manifest_ignored(out_dir):

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the container codecs.
 
-The PDF/WARC writers and parsers and the URL canonicalizer all process
-adversarial string/byte content; fuzzing the round trips catches
+The PDF writer and parser, the URL canonicalizer and the href resolver
+all process adversarial string content; fuzzing the round trips catches
 escaping and framing bugs the example-based tests miss."""
 
 from __future__ import annotations
@@ -31,28 +31,6 @@ def test_pdf_fragment_text_round_trips(texts):
     for got, want in zip(out, frags):
         assert abs(got["x"] - want["x"]) < 0.005
         assert abs(got["y"] - want["y"]) < 0.005
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    payloads=st.lists(_TEXT, min_size=1, max_size=5),
-    gz=st.booleans(),
-)
-def test_warc_record_round_trips(payloads, gz):
-    from ocrd_cis_ray.sources.warc import parse_warc, write_warc
-
-    recs = [
-        {
-            "warc_type": "response",
-            "url": f"https://h/{i}",
-            "record_id": f"urn:x:{i}",
-            "payload": p,
-        }
-        for i, p in enumerate(payloads)
-    ]
-    out = parse_warc(write_warc(recs, gzip_per_record=gz))
-    assert [r["body"] for r in out] == payloads
-    assert [r["url"] for r in out] == [f"https://h/{i}" for i in range(len(payloads))]
 
 
 _HOST = st.from_regex(r"[a-z][a-z0-9-]{0,10}(\.[a-z]{2,5}){1,2}", fullmatch=True)

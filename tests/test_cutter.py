@@ -56,6 +56,18 @@ def test_cut_training_lines_export(ray_session, tiny_sf, tmp_path):
     res2 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
     assert res2["completed"] == 0 and res2["skipped"] >= 1
 
+    # same path, new contents (words reversed, same doc_ids and line
+    # counts): the rerun recomputes every partition and holds the new lines
+    t = pq.read_table(f"{tiny_sf}/documents.parquet")
+    rev = [" ".join(reversed(x.split(" "))) for x in t["text"].to_pylist()]
+    pq.write_table(pa.table({"doc_id": t["doc_id"], "text": rev}), f"{tiny_sf}/documents.parquet")
+    res3 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
+    assert res3["skipped"] == 0 and res3["completed"] == res["completed"]
+    want = {str(d): page_lines(x) for d, x in zip(t["doc_id"].to_pylist(), rev)}
+    rows = rd.read_parquet(out_dir).take_all()
+    assert len(rows) == res["rows"]
+    assert all(r["gt_text"] == want[r["doc_id"]][r["line_no"]] for r in rows)
+
 
 def test_train_consumes_cutter_output(ray_session, tiny_sf, tmp_path):
     """train_recognizer reads the cutter's parquet directly — the

@@ -6,6 +6,7 @@ post-correct → stats)."""
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from ocrd_cis_ray.pipelines.ocr_chain import run_ocr_chain
@@ -50,13 +51,23 @@ def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
     import json
     import os
 
+    import pyarrow as pa
+
+    from ocrd_cis_ray.pipelines.ocr_chain import page_lines
+
+    # a private copy of the input, so the last step can rewrite it in place
+    src = tmp_path / "in"
+    src.mkdir()
+    doc_path = str(src / "documents.parquet")
+    docs = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    pq.write_table(docs, doc_path)
+    sf_dir = str(src)
+
     out_dir = str(tmp_path / "corrected")
     res = run_ocr_chain(sf_dir, out_dir=out_dir)
     stats = res.attrs["write"]
     assert stats["completed"] > 0 and stats["skipped"] == 0
     import glob
-
-    import pyarrow.parquet as pq
 
     files = glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)
     total = sum(pq.read_metadata(f).num_rows for f in files)
@@ -70,6 +81,25 @@ def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
     mdir = os.path.join(out_dir, "_manifest")
     recs = [json.load(open(os.path.join(mdir, f))) for f in os.listdir(mdir)]
     assert recs and all(r.get("stage") == "postcorrect" for r in recs)
+
+    # same path, new contents (every document's words reversed, same
+    # doc_ids): the rerun recomputes every partition and the sink holds
+    # the new GT lines, not the first run's
+    rev = [" ".join(reversed(t.split(" "))) for t in docs["text"].to_pylist()]
+    pq.write_table(pa.table({"doc_id": docs["doc_id"], "text": rev}), doc_path)
+    st3 = run_ocr_chain(sf_dir, out_dir=out_dir).attrs["write"]
+    assert st3["skipped"] == 0 and st3["completed"] == stats["completed"]
+    want = {
+        (str(d), ln): line
+        for d, t in zip(docs["doc_id"].to_pylist(), rev)
+        for ln, line in enumerate(page_lines(t))
+    }
+    rows = pa.concat_tables(
+        pq.read_table(f) for f in glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)
+    ).to_pylist()
+    assert len(rows) == st3["rows"] > 0
+    # a line the segmenter finds past the page's text lines has GT ""
+    assert all(r["GT"] == want.get((str(r["doc_id"]), r["line_no"]), "") for r in rows)
 
 
 _ONE_CPU_CHAIN = """

@@ -36,3 +36,11 @@ def test_entry_smoke():
     df = to_pandas(entrymod.entry())
     assert len(df) > 0
     assert set(df.columns) == {"doc_id", "offset", "kind", "text", "media_ref"}
+
+
+def test_first_50_queries_are_oracle_backed():
+    """Only the first 50 queries() entries are checked against DuckDB,
+    so every one of them must have an oracle_sql() entry."""
+    window = list(QUERIES)[:50]
+    assert len(window) == 50
+    assert [n for n in window if n not in ORACLES] == []
