@@ -2195,8 +2195,8 @@ def q74_lstm_recognize(sf_dir: str):
     Trains the numpy BIDILSTM (stages/lstm.py) on the first 8 docs'
     first rendered lines (driver-side, the reference's single-process
     ocropus-rtrain shape), then fans the pickled model out to the
-    Recognizer ACTOR POOL over 40 docs' line renders — the distributed
-    part is inference, model unpickled once per actor. Returns
+    recognition tasks over 40 docs' line renders — the distributed
+    part is inference, model unpickled once per worker. Returns
     (doc_id, lstm_text, gt_text, cer) with deterministic seeding."""
     import tempfile
 
@@ -2233,7 +2233,7 @@ def q74_lstm_recognize(sf_dir: str):
             "pixels": pa.array([encode_gray(im) for im in imgs], pa.large_binary()),
         }
     )
-    rec = recognize_lines(rd.from_arrow(rows), concurrency=4, model_path=model_path).to_pandas()
+    rec = recognize_lines(rd.from_arrow(rows), model_path=model_path).to_pandas()
     gt = dict(zip(pc.cast(docs["doc_id"], pa.int64()).to_pylist(), first_lines))
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
@@ -2968,7 +2968,7 @@ def q71_recognize(sf_dir: str):
     the render length)."""
     from ocrd_cis_ray.stages.recognize import recognize_lines
 
-    rec = recognize_lines(_media_lines(sf_dir, max_chars=40), concurrency=2, batch_size=64)
+    rec = recognize_lines(_media_lines(sf_dir, max_chars=40), batch_size=64)
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_id"], "text": t["text"]})
@@ -2985,9 +2985,7 @@ def q75_glyph_spans(sf_dir: str):
     a full value oracle exists."""
     from ocrd_cis_ray.stages.recognize import recognize_lines
 
-    rec = recognize_lines(
-        _media_lines(sf_dir, max_chars=40), concurrency=2, batch_size=64, emit_glyphs=True
-    )
+    rec = recognize_lines(_media_lines(sf_dir, max_chars=40), batch_size=64, emit_glyphs=True)
 
     def explode(t: pa.Table) -> pa.Table:
         out = {"doc_id": [], "glyph_no": [], "ch": [], "x0": [], "conf": []}
@@ -3021,7 +3019,7 @@ def q77_word_polygons(sf_dir: str):
     oracle exists. One row per polygon vertex."""
     from ocrd_cis_ray.stages.recognize import recognize_lines
 
-    rec = recognize_lines(_media_lines(sf_dir, max_chars=40), concurrency=2, batch_size=64)
+    rec = recognize_lines(_media_lines(sf_dir, max_chars=40), batch_size=64)
 
     def explode(t: pa.Table) -> pa.Table:
         out = {"doc_id": [], "word_no": [], "word": [], "vertex_no": [], "x": [], "y": []}
@@ -3058,7 +3056,7 @@ def q72_postcorrect(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     # lexicon = distributed top-V corpus vocabulary (the small side,
-    # broadcast into the actor pool constructor) — no full-corpus
+    # broadcast once to the correction tasks) — no full-corpus
     # driver scan; see token_frequencies for the 100-TB shape
     lexicon = token_frequencies(ds, top_v=200_000).to_dict()
 
@@ -3080,9 +3078,7 @@ def q72_postcorrect(sf_dir: str):
         )
 
     tokens = ds.map_batches(explode_corrupt, batch_format="pyarrow")
-    corrected = postcorrect_tokens(
-        tokens, lexicon, {("c", "e"): 0.9}, concurrency=2, batch_size=4096
-    )
+    corrected = postcorrect_tokens(tokens, lexicon, {("c", "e"): 0.9}, batch_size=4096)
 
     def project(t: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc

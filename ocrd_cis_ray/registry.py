@@ -288,9 +288,9 @@ def _resegment(ds, **p):
 
 @register_stage(
     "recognize",
-    defaults={"concurrency": 4, "batch_size": 64, "num_cpus": 0.5},
+    defaults={"batch_size": 64},
     allowed=("model_path",),
-    description="actor-pool line recognition (recognize.py semantics)",
+    description="line recognition as tasks, model built once per worker (recognize.py semantics)",
 )
 def _recognize(ds, **p):
     from .stages.recognize import recognize_lines

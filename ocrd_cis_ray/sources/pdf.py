@@ -289,15 +289,6 @@ def _object_stream(data: bytes, j: int, val, resolve=None) -> bytes:
             end = nxt
 
 
-def _parse_object_at(
-    data: bytes, m: re.Match, resolve=None
-) -> tuple[int, object, bytes | None]:
-    """Parse one `N G obj` body starting at match ``m``."""
-    num, val, j = _object_header(data, m)
-    stream = None if j is None else _object_stream(data, j, val, resolve)
-    return num, val, stream
-
-
 _XREF_ENTRY = re.compile(rb"(\d{10}) (\d{5}) ([nf])")
 
 

@@ -1,6 +1,5 @@
 """N-way OCR output alignment — native reimplementation of the
-reference's Java aligner + Python re-attachment as a Ray actor-pool
-stage.
+reference's Java aligner + Python re-attachment as a Ray Data stage.
 
 Reference semantics (ocrd_cis/align/cli.py):
 
@@ -21,8 +20,8 @@ Reference semantics (ocrd_cis/align/cli.py):
   (align/cli.py:119-128) — replicated bit-for-bit: the line emits no
   word rows for that source.
 - The reference starts a JVM per page tuple (align/cli.py:282-293);
-  here the alignment engine is plain Python/numpy state inside a
-  long-lived actor, amortized across batches.
+  here the aligner holds only its source list, so the caller builds it
+  once and it ships inside the tasks' function.
 
 Scale shape: one ``groupby(doc_id)`` shuffle of the long-form variant
 lines; everything after is row-local. Skewed (media-heavy) docs don't
@@ -80,15 +79,16 @@ def match_cursor(master_words: list[str], tokens: list[str]) -> list[int] | None
 
 
 class NWayAligner:
-    """Actor-pool stage: aligns all sources of each document.
+    """Bucket callable run as plain tasks: aligns all sources of each
+    document.
 
-    Input batches are per-document groups of the long-form variant
-    table (doc_id, source, line_no, text, conf) — produced by
-    ``groupby("doc_id").map_groups(NWayAligner(...), ...)`` or an
-    upstream repartition-by-key. ``sources[0]`` is the master group
-    (the reference's first -I group); remaining sources are supports in
-    order; a trailing "GT" group participates like any support
-    (README.md:151-154 semantics).
+    Input batches are hash buckets of the long-form variant table
+    (doc_id, source, line_no, text, conf) holding whole documents —
+    produced by ``bucketed_groupby(..., whole_bucket=True)``
+    (``align_variants``) or the flagship's fused align+eval bucket
+    pass. ``sources[0]`` is the master group (the reference's first -I
+    group); remaining sources are supports in order; a trailing "GT"
+    group participates like any support (README.md:151-154 semantics).
 
     Output (long form, line level + word level interleaved by `level`):
       doc_id, line_no:int32, level('line'|'word'), word_no:int32,

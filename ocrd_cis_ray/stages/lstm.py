@@ -380,7 +380,7 @@ def train_recognizer(
     shape of the reference (ocropy/train.py:58-207 / ocropus_rtrain:
     one process, `ntrain` random line draws); the distributed part of
     the story is INFERENCE, where the pickled model fans out to
-    recognizer actor pools via ``model_path`` (loaded once per actor).
+    recognition tasks via ``model_path`` (loaded once per worker).
     The codec is built from the sample's character inventory. Returns
     {"lines", "classes", "epochs", "final_cer"}.
     """

@@ -1,6 +1,6 @@
 """Post-correction — lexicon + channel-model candidate ranking as a
-stateful stage: an actor pool over tokens (``postcorrect_tokens``) or
-plain tasks over lines with once-per-worker state (``correct_lines``).
+stateful stage, run as plain tasks with once-per-worker state over
+tokens (``postcorrect_tokens``) or over lines (``correct_lines``).
 
 Reference pipeline (ocrd_cis/postcorrect/cli.py + the packaged Java
 decision maker): a profiler proposes correction candidates for
@@ -12,8 +12,8 @@ ocrd-tool.json:490-495) and rewrites tokens where the ranker is
 confident.
 
 This native reimplementation:
-- lexicon index built ONCE per stage instance in ``__init__`` (per
-  actor, or per worker process for the task stages) — a SymSpell-style
+- lexicon index built ONCE per stage instance in ``__init__``, at most
+  once per worker process per call (``worker_state``) — a SymSpell-style
   deletion-neighbourhood index (public algorithm) for distance ≤ 2
   candidate generation (the "profiler");
 - channel model = (src, dst) character-confusion weights, learned from
@@ -51,7 +51,7 @@ def _deletes(word: str, max_dist: int) -> set[str]:
 
 
 class PostCorrector:
-    """Actor-pool stage: token rows -> ranked candidates + correction.
+    """Batch callable: token rows -> ranked candidates + correction.
 
     Input batches: (doc_id, line_no:int32, word_no:int32, token).
     Output adds: suspicious:bool, corrected, candidates:
@@ -85,9 +85,9 @@ class PostCorrector:
         for w in self.lexicon:
             for d in _deletes(w, max_dist):
                 self.index.setdefault(d, []).append(w)
-        # decision cache lives on the actor: correction of a (token,
+        # decision cache lives on the instance: correction of a (token,
         # peer) pair is deterministic, so it amortizes across ALL
-        # batches the actor processes, not just one
+        # batches the worker processes, not just one
         self._cache: dict[tuple, tuple] = {}
 
     # -- candidate generation ("profiler") --------------------------------
@@ -244,7 +244,7 @@ class PostCorrector:
         return pa.table(cols)
 
 
-    # -- line-level interface (explode/correct/rejoin inside the actor,
+    # -- line-level interface (explode/correct/rejoin inside the task,
     #    so the surrounding pipeline needs NO token-level shuffle) -------
 
     def correct_line(self, text: str, peer_text: str = "") -> str:
@@ -302,19 +302,6 @@ class LineCorrector(PostCorrector):
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
         return self.correct_lines_batch(batch)
-
-
-def postcorrect_tokens(ds, lexicon: dict[str, int], confusions=None, *, concurrency: int = 4, batch_size: int = 4096, num_cpus: float = 1, **kw):
-    """Dataset wrapper: actor pool holding the lexicon index + channel model."""
-    return ds.map_batches(
-        PostCorrector,
-        fn_constructor_args=(lexicon, confusions),
-        fn_constructor_kwargs=kw,
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        batch_size=batch_size,
-        num_cpus=num_cpus,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +365,7 @@ def confusion_partials_batch(
 
 
 class RankerExampleUDF(PostCorrector):
-    """Actor stage: (text, peer_text, gt_text) line rows -> per-candidate
+    """Batch callable: (text, peer_text, gt_text) line rows -> per-candidate
     (features, label) training rows for the learned ranker. Labels come
     from the cursor-aligned GT token (the reference trains its
     rank/decision models on GT-profiled candidates, aio/aio.py:617-627,
@@ -497,6 +484,22 @@ def worker_state(state_ref, cls):
 
 def _stage_batch(batch: pa.Table, *, cls, state_ref) -> pa.Table:
     return worker_state(state_ref, cls)(batch)
+
+
+def postcorrect_tokens(ds, lexicon: dict[str, int], confusions=None, *, batch_size: int = 4096, **kw):
+    """Token-level correction of (doc_id, ..., token[, peer]) rows as
+    plain Ray Data tasks; ``(lexicon, confusions)`` and ``kw`` are
+    broadcast once and the PostCorrector is built at most once per
+    worker process."""
+    import ray
+    from functools import partial
+
+    state_ref = ray.put(((lexicon, confusions), kw))
+    return ds.map_batches(
+        partial(_stage_batch, cls=PostCorrector, state_ref=state_ref),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
 
 
 def correct_lines(lines_ds, lexicon: dict[str, int], confusions=None, *, ranker=None):

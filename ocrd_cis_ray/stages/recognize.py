@@ -1,4 +1,4 @@
-"""Line recognition — the canonical stateful actor-pool stage.
+"""Line recognition — a stateful stage run as plain tasks.
 
 The reference loads a pickled BIDILSTM once per processor in setup()
 (ocrd_cis/ocropy/recognize.py:94-102) and then recognizes line images
@@ -11,9 +11,10 @@ confidences (recognize.py:237-302). Two model paths:
 - default: a deterministic glyph-template bank matching the synthetic
   renderer (sources/media.py) — exact goldens for the oracle queries.
 
-The Ray-side shape is the same for both: model built ONCE per actor in
-``__init__``, batches of line images in ``__call__``,
-``map_batches(Recognizer, concurrency=N, batch_size=B)``.
+The Ray-side shape is the same for both: ``recognize_lines`` ships the
+constructor kwargs once with ``ray.put``, each worker process builds the
+``Recognizer`` at most once per call (``postcorrect.worker_state``), and
+``__call__`` maps batches of line images as plain ``map_batches`` tasks.
 
 Confidence semantics copied from the reference:
 - glyph conf = per-char match score (recognize.py:267-268 TextEquiv conf)
@@ -52,7 +53,7 @@ def _bbox_poly(x0, y0, x1, y1) -> list[dict]:
 
 
 class Recognizer:
-    """Actor-pool stage: media line rows -> recognized text rows.
+    """Batch callable: media line rows -> recognized text rows.
 
     Output columns: doc_id, span_id, text, conf:float32,
     words: list<struct<text, conf:float32, x0:int32,
@@ -61,7 +62,7 @@ class Recognizer:
     """
 
     def __init__(self, *, min_conf: float = 0.0, model_path: str | None = None, emit_glyphs: bool = False, text_only: bool = False):
-        # "model load" once per actor: either a pickled numpy BIDILSTM
+        # "model load" once per instance: either a pickled numpy BIDILSTM
         # (the reference's load_object + walk/postLoad path,
         # recognize.py:94-102) or the deterministic template bank
         self.seq = None
@@ -250,23 +251,20 @@ class Recognizer:
         return pa.table(cols)
 
 
-def recognize_lines(ds, *, concurrency: int = 4, batch_size: int = 64, num_cpus: float = 1, model_path: str | None = None, emit_glyphs: bool = False):
-    """Dataset wrapper: the actor-pool map (model loaded once per actor).
+def recognize_lines(ds, *, batch_size: int = 64, model_path: str | None = None, emit_glyphs: bool = False):
+    """Dataset wrapper: plain tasks with a once-per-worker ``Recognizer``.
 
     ``model_path`` selects the numpy BIDILSTM+CTC model (stages/lstm.py)
-    — each actor unpickles it once in ``__init__``; the path string,
-    not the weights, ships with the task spec. ``concurrency`` may be
-    an int (autoscale 1..N) or an explicit (min, max) tuple."""
-    if not isinstance(concurrency, tuple):
-        concurrency = (1, concurrency)
+    — each worker process unpickles it once per call; the path string,
+    not the weights, ships in the broadcast kwargs."""
+    import ray
+    from functools import partial
+
+    from .postcorrect import _stage_batch
+
+    state_ref = ray.put(((), {"model_path": model_path, "emit_glyphs": emit_glyphs}))
     return ds.map_batches(
-        Recognizer,
+        partial(_stage_batch, cls=Recognizer, state_ref=state_ref),
         batch_format="pyarrow",
-        concurrency=concurrency,
         batch_size=batch_size,
-        num_cpus=num_cpus,
-        fn_constructor_kwargs={
-            **({"model_path": model_path} if model_path else {}),
-            **({"emit_glyphs": True} if emit_glyphs else {}),
-        },
     )

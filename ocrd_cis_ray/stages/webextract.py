@@ -371,14 +371,13 @@ def _content_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def extract_main_content(ds, *, mode: str = "content", concurrency=None):
+def extract_main_content(ds, *, mode: str = "content"):
     """(doc_id, html) -> main content.
 
     mode="content": (doc_id, content_text) — oracle-comparable form.
     mode="spans":   interleaved (doc_id, kind, text, media_ref, offset).
     Row-local both ways, task-based (see _content_batch: parser build
-    is ~1 µs, so tasks beat an actor pool); `concurrency` is accepted
-    for API compatibility and ignored — tasks track the session width.
+    is ~1 µs, so tasks beat an actor pool).
     """
     if mode == "content":
         return ds.map_batches(_content_batch, batch_format="pyarrow")

@@ -1,5 +1,6 @@
 """Numpy BIDILSTM + CTC: forward goldens, gradient check, CTC decode,
-end-to-end training convergence, and the Recognizer actor-pool path.
+end-to-end training convergence, and recognition tasks driven by the
+trained model.
 
 Mirrors the reference's training smoke test
 (reference tests/run_training_test.bash + ocropy/ocrolib/lstm.py
@@ -142,8 +143,8 @@ def test_train_and_recognize_rendered_lines():
 
 
 def test_recognizer_actor_lstm_path(ray_session, tmp_path):
-    """The trained model drives the Recognizer actor pool end-to-end
-    (model unpickled once per actor via model_path)."""
+    """The trained model drives recognize_lines end-to-end (model
+    unpickled once per worker via model_path)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -167,7 +168,7 @@ def test_recognizer_actor_lstm_path(ray_session, tmp_path):
         }
     )
     out = (
-        recognize_lines(rd.from_arrow(rows), concurrency=1, model_path=path)
+        recognize_lines(rd.from_arrow(rows), model_path=path)
         .to_pandas()
         .set_index("doc_id")
     )
@@ -180,7 +181,7 @@ def test_recognizer_actor_lstm_path(ray_session, tmp_path):
 def test_train_recognizer_dataset_entrypoint(ray_session, tmp_path):
     """train_recognizer (the ocrd-cis-ocropy-train analog): Dataset of
     (pixels, gt_text) line rows -> pickled model; heights normalized
-    via resize_to_height; model drives the actor pool."""
+    via resize_to_height; model drives the recognition tasks."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -206,7 +207,7 @@ def test_train_recognizer_dataset_entrypoint(ray_session, tmp_path):
             "pixels": pa.array([encode_gray(im) for im in imgs], pa.large_binary()),
         }
     )
-    out = recognize_lines(rd.from_arrow(rows), concurrency=1, model_path=path).to_pandas()
+    out = recognize_lines(rd.from_arrow(rows), model_path=path).to_pandas()
     errs = sum(
         levenshtein(t_pred, t) for t_pred, t in zip(out.sort_values("doc_id")["text"], TEXTS)
     )

@@ -102,58 +102,6 @@ def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
     assert all(r["GT"] == want.get((str(r["doc_id"]), r["line_no"]), "") for r in rows)
 
 
-_ONE_CPU_CHAIN = """
-import json, sys
-import ray
-from ray.data import DataContext
-ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
-         log_to_driver=False, object_store_memory=256 * 2**20)
-DataContext.get_current().enable_progress_bars = False
-from ocrd_cis_ray.pipelines.ocr_chain import run_ocr_chain
-out = run_ocr_chain(sys.argv[1])
-print(json.dumps(out[["stage", "source", "char_errors", "gt_chars"]].to_dict("records")))
-ray.shutdown()
-"""
-
-
-def test_chain_finishes_at_one_cpu(ray_session, sf_dir, tmp_path):
-    """At 1 logical CPU no chain stage may hold the CPU that the tasks
-    downstream of it need: the run finishes (in its own 1-CPU Ray
-    session, a subprocess) with the rows and CER counts of the 4-CPU
-    session."""
-    import json
-    import os
-    import signal
-    import subprocess
-    import sys
-
-    import pyarrow.parquet as pq
-
-    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet")).slice(0, 48)
-    pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_CHAIN, str(tmp_path)],
-        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        stdout, stderr = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("run_ocr_chain did not finish within 180 s at 1 CPU")
-    assert proc.returncode == 0, stderr[-2000:]
-    rows = json.loads(stdout.strip().splitlines()[-1])
-    got = {(r["stage"], r["source"]): (r["char_errors"], r["gt_chars"]) for r in rows}
-    assert set(got) == {("raw", "OCR-1"), ("raw", "OCR-2"), ("postcorrected", "OCR-2")}
-    want = run_ocr_chain(str(tmp_path))
-    assert got == {
-        (r.stage, r.source): (int(r.char_errors), int(r.gt_chars)) for r in want.itertuples()
-    }
-
-
 def test_eval_rollup_empty_gt_group_stays_finite(ray_session):
     """(book, source) groups whose GT is all-empty must yield finite
     accuracy (JSON-serializable report), not inf/NaN."""

@@ -1,6 +1,6 @@
-"""Recognizer actor (template OCR) and post-correction stages (token
-actor pool, line tasks), plus the chained render → recognize →
-postcorrect pipeline."""
+"""Recognizer (template OCR) and post-correction stages (token and line
+tasks with once-per-worker state), plus the chained render → recognize
+→ postcorrect pipeline."""
 
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ def test_recognizer_word_confidence_semantics():
 
 
 def test_recognizer_actor_stage(ray_session):
+    """recognize_lines runs the Recognizer as plain tasks and recovers
+    every clean rendered line."""
     import ray.data as rd
 
     rows = [
@@ -42,7 +44,7 @@ def test_recognizer_actor_stage(ray_session):
         }
         for i in range(8)
     ]
-    out = recognize_lines(rd.from_arrow(pa.Table.from_pylist(rows)), concurrency=2, batch_size=4).to_pandas()
+    out = recognize_lines(rd.from_arrow(pa.Table.from_pylist(rows)), batch_size=4).to_pandas()
     assert list(out.sort_values("doc_id")["text"]) == [f"line {i} text" for i in range(8)]
 
 
@@ -84,7 +86,7 @@ def test_postcorrect_stage(ray_session):
         {"doc_id": "d0", "line_no": 0, "word_no": 1, "token": "world"},
     ]
     out = (
-        postcorrect_tokens(rd.from_items(rows), LEXICON, concurrency=1)
+        postcorrect_tokens(rd.from_items(rows), LEXICON)
         .to_pandas()
         .sort_values("word_no")
     )
@@ -109,7 +111,7 @@ def test_learn_confusions(ray_session):
 
 
 def test_full_ocr_chain(ray_session):
-    """render (with noise) → recognize actor → postcorrect actor: the
+    """render (with noise) → recognize tasks → postcorrect tasks: the
     reference's recognize→align→postcorrect flow, single-source."""
     import ray.data as rd
 
@@ -118,7 +120,7 @@ def test_full_ocr_chain(ray_session):
         {"doc_id": f"d{i}", "span_id": "s0", "pixels": encode_gray(render_line(t))}
         for i, t in enumerate(texts)
     ]
-    rec = recognize_lines(rd.from_arrow(pa.Table.from_pylist(rows)), concurrency=1)
+    rec = recognize_lines(rd.from_arrow(pa.Table.from_pylist(rows)))
 
     def to_tokens(b):
         out = {"doc_id": [], "line_no": [], "word_no": [], "token": []}
@@ -138,7 +140,7 @@ def test_full_ocr_chain(ray_session):
         )
 
     tokens = rec.map_batches(to_tokens, batch_format="pyarrow")
-    corrected = postcorrect_tokens(tokens, LEXICON, concurrency=1).to_pandas()
+    corrected = postcorrect_tokens(tokens, LEXICON).to_pandas()
     got = corrected.sort_values(["doc_id", "word_no"]).groupby("doc_id")["corrected"].apply(" ".join)
     assert got["d0"] == "hello world"
     assert got["d1"] == "the quick brown fox"
@@ -283,7 +285,7 @@ def test_recognizer_glyph_spans():
 
 
 def test_recognizer_glyph_stage(ray_session):
-    """The actor-pool stage exposes the glyphs column when asked and
+    """The recognition stage exposes the glyphs column when asked and
     keeps the q71 schema unchanged otherwise."""
     import ray.data as rd
 
@@ -295,8 +297,8 @@ def test_recognizer_glyph_stage(ray_session):
         }
     ]
     ds = rd.from_items(rows)
-    plain = recognize_lines(ds, concurrency=1, batch_size=8).take_all()
+    plain = recognize_lines(ds, batch_size=8).take_all()
     assert "glyphs" not in plain[0]
-    out = recognize_lines(ds, concurrency=1, batch_size=8, emit_glyphs=True).take_all()
+    out = recognize_lines(ds, batch_size=8, emit_glyphs=True).take_all()
     gs = out[0]["glyphs"]
     assert "".join(g["text"] for g in gs) == "hey you"

@@ -51,7 +51,7 @@ def test_segment_blank_page():
 
 
 def test_segment_recognize_chain(ray_session):
-    """page image → segmentation stage → recognizer actor recovers the
+    """page image → segmentation stage → recognition tasks recover the
     original line texts in reading order — the reference's
     segment→recognize flow end-to-end."""
     import ray.data as rd
@@ -70,7 +70,7 @@ def test_segment_recognize_chain(ray_session):
         ]
     )
     segs = segment_pages(rd.from_arrow(tbl))
-    rec = recognize_lines(segs, concurrency=1, batch_size=8).to_pandas()
+    rec = recognize_lines(segs, batch_size=8).to_pandas()
     got = rec.sort_values("span_id")["text"].tolist()
     assert got == lines
 
