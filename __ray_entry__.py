@@ -6,7 +6,7 @@ ANSI-SQL equivalent DuckDB runs on the same tables. Column names AND
 types match between the two (the driver hashes values after sorting
 columns by name). Entries without oracle SQL (alignment word level,
 sketch dedup, fingerprints, ANN recall, media payloads) get the
-rows-only check. 111 queries, 90 oracle-checked; only the FIRST 50 dict
+rows-only check. 107 queries, 86 oracle-checked; only the FIRST 50 dict
 entries are verified, so ``queries()`` lists the oracle-backed entries
 first and the rows-only entries last (see its docstring).
 
@@ -783,118 +783,6 @@ def q76_semdedup_pairs(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return semdedup_collapse(ds, threshold=0.45)
-
-
-def q114_flac_roundtrip(sf_dir: str):
-    """REAL FLAC compressed-audio path (pure-numpy RFC 9639 codec,
-    ``sources/flac.py`` — closes the r4 compressed-audio env stub),
-    distributed: per document synthesize a deterministic int16
-    waveform s[i] = ((doc_id·31 + i·7) % 4001) − 2000 of length
-    400 + doc_id % 300, encode with doc_id-varied codec knobs
-    (partition_order = doc_id % 3 exercising 1/2/4 rice partitions,
-    rice_method = doc_id % 2 exercising the 4- and 5-bit parameter
-    paths, LPC for every third doc, mid/side stereo for every fourth)
-    and decode via the multimodal ``decode_audio``-adjacent
-    ``decode_flac``. FLAC is LOSSLESS, so every emitted fact is
-    bit-exact and the oracle recomputes them structurally from the
-    formula: n_samples, sample_sum, and pos_checksum =
-    Σ s[i]·(i+1) — position-weighted, so SEQUENCE order (not just the
-    multiset) must survive the round-trip (the north_rule's
-    span-sequence-equality discipline applied to audio samples).
-
-    Reference intent: opaque-binary media columns with typed metadata
-    (SURVEY §2.1 image loader analog for compressed audio)."""
-    from ocrd_cis_ray.sources.flac import decode_flac, encode_flac
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def roundtrip(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        ns, sums, cks = [], [], []
-        for did in ids:
-            did = int(did)
-            n = 400 + did % 300
-            i = np.arange(n, dtype=np.int64)
-            s = (((did * 31 + i * 7) % 4001) - 2000).astype(np.int16)
-            if did % 4 == 0:
-                x = np.stack([s, (-s).astype(np.int16)], axis=1)
-                enc = encode_flac(x, 16_000, stereo_mode="mid-side",
-                                  partition_order=did % 3, rice_method=did % 2)
-                dec = decode_flac(enc, verify_md5=True)[0][:, 0]
-            else:
-                enc = encode_flac(
-                    s, 16_000,
-                    method="lpc" if did % 3 == 0 else "fixed",
-                    partition_order=did % 3, rice_method=did % 2,
-                )
-                dec = decode_flac(enc, verify_md5=True)[0]
-            d64 = dec.astype(np.int64)
-            ns.append(len(d64))
-            sums.append(int(d64.sum()))
-            cks.append(int((d64 * (np.arange(len(d64)) + 1)).sum()))
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_samples": pa.array(ns, pa.int64()),
-                "sample_sum": pa.array(sums, pa.int64()),
-                "pos_checksum": pa.array(cks, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(roundtrip, batch_format="pyarrow")
-
-
-def q115_mjpeg_roundtrip(sf_dir: str):
-    """REAL compressed-VIDEO path: Motion-JPEG in the RIFF/AVI
-    container (``sources/avi.py`` composing the T.81 JPEG codec per
-    frame — the MJPEG cameras/OpenCV 'MJPG' produce), distributed: per
-    document synthesize 2 + doc_id % 5 constant-luma frames (frame f
-    has value (doc_id + 7·f) % 256; dims 8 + doc_id % 9 ×
-    16 + doc_id % 13, deliberately non-MCU-aligned) at
-    fps = 10 + doc_id % 20, encode to AVI at JPEG quality 95 4:4:4 —
-    constant blocks are DC-only and DC-exact at q95, so the luma
-    round-trip is BIT-EXACT — decode through the multimodal
-    ``decode_video_frames`` sniff, and emit facts the oracle recomputes
-    structurally: n_frames, fps_x1000 (the strh dwRate/dwScale
-    rational), and luma_sum = Σ_f v_f·h·w.
-
-    Reference intent: SURVEY §2.1 image loader analog for video
-    containers; the inter-frame codecs (H.264/VP9) remain the only
-    documented video env stubs."""
-    from ocrd_cis_ray.sources.avi import encode_mjpeg_avi
-    from ocrd_cis_ray.stages.multimodal import decode_video_frames
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def roundtrip(t: pa.Table) -> pa.Table:
-        from ocrd_cis_ray.sources.avi import decode_mjpeg_avi
-
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nfs, fpss, sums = [], [], []
-        for did in ids:
-            did = int(did)
-            n = 2 + did % 5
-            h, w = 8 + did % 9, 16 + did % 13
-            fps = 10 + did % 20
-            frames = np.stack(
-                [np.full((h, w), (did + 7 * f) % 256, np.uint8) for f in range(n)]
-            )
-            avi = encode_mjpeg_avi(frames, fps=fps, quality=95, subsampling="4:4:4")
-            dec = decode_video_frames(avi)  # sniffs RIFF/AVI
-            _, got_fps = decode_mjpeg_avi(avi)
-            nfs.append(dec.shape[0])
-            fpss.append(int(round(got_fps * 1000)))
-            sums.append(int(dec.astype(np.int64).sum()))
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_frames": pa.array(nfs, pa.int64()),
-                "fps_x1000": pa.array(fpss, pa.int64()),
-                "luma_sum": pa.array(sums, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(roundtrip, batch_format="pyarrow")
 
 
 def q111_semdedup_oracle(sf_dir: str):
@@ -2257,10 +2145,9 @@ def q74_lstm_recognize(sf_dir: str):
 def _wide_variant_lines(sf_dir: str, corruptions):
     """Wide (doc_id, line_no, <src>..., GT) variant frame built BATCH-
     LOCALLY, zero shuffle: every variant of a line derives from the
-    same document row, so the (doc_id, line_no) pivot that
-    ``wide_lines`` pays an exchange for in the real chain (where OCR
-    text arrives per channel) is free here — the same fusion the
-    flagship evaluate pipeline uses. ``corruptions`` is an ordered
+    same document row, so the (doc_id, line_no) pivot, which needs an
+    exchange when OCR text arrives as long-form rows per channel, is
+    free here — the same fusion the flagship evaluate pipeline uses. ``corruptions`` is an ordered
     tuple of (source, corrupt_fn) applied to each clean 8-word line.
 
     Eval-report corruption design (q78/q79): each source is
@@ -2702,47 +2589,6 @@ def q70_preprocess_media(sf_dir: str):
     return out.map_batches(summarize, batch_format="pyarrow")
 
 
-def q80_wav_roundtrip(sf_dir: str):
-    """REAL PCM-WAV audio path (stdlib wave codec), distributed: per
-    document synthesize a constant-amplitude mono WAV — amplitude
-    (doc_id % 97)/128, the dyadic denominator keeps amp·32767 exact in
-    float64 — push it through the multimodal decode kernel
-    (encode_wav → decode_audio), and emit integer-exact facts the
-    oracle recomputes structurally: n_samples, sample_rate, and
-    peak_q = floor(32767·amp + 0.5) recovered FROM THE DECODED float32
-    samples (float32 round-trip error on the int16 grid is ≤1e-3 ≪
-    0.5, so the quantized peak is bit-stable). The k=64 tie value
-    16383.5 rounds to 16384 under both numpy banker's rounding
-    (encode) and floor(x+0.5) (recovery), so no tie-break divergence.
-
-    Reference intent: opaque-binary media columns with typed metadata
-    processed per asset (SURVEY §2.1 image loader analog for audio)."""
-    from ocrd_cis_ray.sources.media import encode_wav
-    from ocrd_cis_ray.stages.multimodal import decode_audio
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def roundtrip(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        n_samples, peaks = [], []
-        for did in ids:
-            n = 160 + int(did) % 240
-            amp = (int(did) % 97) / 128.0
-            dec = decode_audio(encode_wav(np.full(n, amp), 16_000, sampwidth=2))
-            n_samples.append(len(dec))
-            peaks.append(int(np.floor(float(np.abs(dec).max()) * 32767.0 + 0.5)))
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "sample_rate": pa.array(np.full(len(ids), 16_000, np.int64)),
-                "peak_q": pa.array(peaks, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(roundtrip, batch_format="pyarrow")
-
-
 def q81_png_roundtrip(sf_dir: str):
     """REAL PNG image path (stdlib-zlib codec), distributed: per
     document synthesize a deterministic gradient image
@@ -2921,41 +2767,6 @@ def q110_jpeg_roundtrip(sf_dir: str):
                 "prog_sum": pa.array(psums, pa.int64()),
                 "rgb_h": pa.array(rhs, pa.int64()),
                 "rgb_w": pa.array(rws, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(roundtrip, batch_format="pyarrow")
-
-
-def q82_y4m_roundtrip(sf_dir: str):
-    """REAL Y4M video path, distributed: per document synthesize
-    2 + doc_id % 6 constant-luma 8×16 frames (frame f has luma
-    (doc_id + f) % 256), push through encode_y4m → decode_video_frames
-    (C420 chroma parsed and skipped), and emit integer-exact facts the
-    oracle recomputes: n_frames and the total decoded luma sum
-    Σ_f ((doc_id + f) % 256) · 8 · 16."""
-    from ocrd_cis_ray.sources.media import encode_y4m
-    from ocrd_cis_ray.stages.multimodal import decode_video_frames
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-
-    def roundtrip(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nfr, sums = [], []
-        for did in ids:
-            did = int(did)
-            n = 2 + did % 6
-            frames = np.stack(
-                [np.full((8, 16), (did + f) % 256, np.uint8) for f in range(n)]
-            )
-            dec = decode_video_frames(encode_y4m(frames))
-            nfr.append(len(dec))
-            sums.append(int(dec.sum(dtype=np.int64)))
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_frames": pa.array(nfr, pa.int64()),
-                "luma_sum": pa.array(sums, pa.int64()),
             }
         )
 
@@ -3176,8 +2987,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q111_semdedup_oracle": q111_semdedup_oracle,
         "q112_align_editops_oracle": q112_align_editops_oracle,
         "q113_eval_rollup": q113_eval_rollup,
-        "q114_flac_roundtrip": q114_flac_roundtrip,
-        "q115_mjpeg_roundtrip": q115_mjpeg_roundtrip,
         "q104_quality_tiers": q104_quality_tiers,
         "q106_data_mixture": q106_data_mixture,
         "q109_length_percentiles": q109_length_percentiles,
@@ -3195,9 +3004,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q90_host_stats": q90_host_stats,
         "q87_pagerank": q87_pagerank,
         "q83_pdf_extract": q83_pdf_extract,
-        "q80_wav_roundtrip": q80_wav_roundtrip,
         "q81_png_roundtrip": q81_png_roundtrip,
-        "q82_y4m_roundtrip": q82_y4m_roundtrip,
         "q78_eval_report": q78_eval_report,
         "q79_error_types": q79_error_types,
         "q77_word_polygons": q77_word_polygons,
@@ -4589,13 +4396,6 @@ SELECT doc_id, CAST(u.i - 1 AS INT) AS glyph_no, substring(s, u.i, 1) AS ch,
        CAST(10 + 8 * (u.i - 1) AS INT) AS x0, CAST(1.0 AS REAL) AS conf
 FROM t, UNNEST(generate_series(1, length(s))) AS u(i)
 """,
-        "q80_wav_roundtrip": """
-SELECT doc_id,
-       CAST(160 + doc_id % 240 AS BIGINT) AS n_samples,
-       CAST(16000 AS BIGINT) AS sample_rate,
-       CAST(FLOOR(32767 * (doc_id % 97) / 128.0 + 0.5) AS BIGINT) AS peak_q
-FROM documents
-""",
         "q81_png_roundtrip": """
 SELECT d.doc_id,
        CAST(8 + d.doc_id % 8 AS BIGINT) AS height,
@@ -4653,24 +4453,6 @@ SELECT book, source, n_lines, gt_chars, char_errors, gt_words,
        1 - CAST(char_errors AS DOUBLE) / gt_chars AS accuracy
 FROM (SELECT * FROM base UNION ALL SELECT * FROM tot)
 """,
-        "q115_mjpeg_roundtrip": """
-SELECT d.doc_id,
-       CAST(2 + d.doc_id % 5 AS BIGINT) AS n_frames,
-       CAST((10 + d.doc_id % 20) * 1000 AS BIGINT) AS fps_x1000,
-       CAST(SUM(((d.doc_id + 7 * ff.f) % 256) * (8 + d.doc_id % 9) * (16 + d.doc_id % 13)) AS BIGINT) AS luma_sum
-FROM documents d,
-     UNNEST(generate_series(0, CAST(2 + d.doc_id % 5 AS INT) - 1)) AS ff(f)
-GROUP BY d.doc_id
-""",
-        "q114_flac_roundtrip": """
-SELECT d.doc_id,
-       CAST(400 + d.doc_id % 300 AS BIGINT) AS n_samples,
-       CAST(SUM(((d.doc_id * 31 + ii.i * 7) % 4001) - 2000) AS BIGINT) AS sample_sum,
-       CAST(SUM((((d.doc_id * 31 + ii.i * 7) % 4001) - 2000) * (ii.i + 1)) AS BIGINT) AS pos_checksum
-FROM documents d,
-     UNNEST(generate_series(0, CAST(400 + d.doc_id % 300 AS INT) - 1)) AS ii(i)
-GROUP BY d.doc_id
-""",
         "q110_jpeg_roundtrip": """
 SELECT d.doc_id,
        CAST(16 + d.doc_id % 9 AS BIGINT) AS height,
@@ -4680,14 +4462,6 @@ SELECT d.doc_id,
        CAST(10 + d.doc_id % 14 AS BIGINT) AS rgb_h,
        CAST(12 + d.doc_id % 22 AS BIGINT) AS rgb_w
 FROM documents d
-""",
-        "q82_y4m_roundtrip": """
-SELECT d.doc_id,
-       CAST(2 + d.doc_id % 6 AS BIGINT) AS n_frames,
-       CAST(SUM(((d.doc_id + ff.f) % 256) * 8 * 16) AS BIGINT) AS luma_sum
-FROM documents d,
-     UNNEST(generate_series(0, CAST(2 + d.doc_id % 6 AS INT) - 1)) AS ff(f)
-GROUP BY d.doc_id
 """,
         "q78_eval_report": variant_cte
         + """

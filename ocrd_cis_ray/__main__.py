@@ -61,13 +61,6 @@ def main(argv=None):
     web.add_argument("--min-stop-distinct", type=int, default=2)
     web.add_argument("--num-cpus", type=int, default=8)
 
-    med = sub.add_parser("media-corpus", help="multimodal corpus e2e: real codecs -> sidecar externalize -> ref-only featurize -> resumable features")
-    med.add_argument("--sf-dir", default="/root/testdata/sf0.001")
-    med.add_argument("-o", "--output", required=True, help="output feature-table dir (partitioned parquet + manifest)")
-    med.add_argument("--sidecar", required=True, help="content-addressed blob store root")
-    med.add_argument("--partitions", type=int, default=16)
-    med.add_argument("--num-cpus", type=int, default=8)
-
     cur = sub.add_parser("curate", help="FineWeb-style curation: quality gates + exact dedup -> keep decisions")
     cur.add_argument("-i", "--input", required=True, help="documents parquet (doc_id, text)")
     cur.add_argument("-o", "--output", required=True, help="output parquet dir (decisions)")
@@ -161,17 +154,6 @@ def main(argv=None):
                 args.output,
                 n_partitions=args.partitions,
                 gopher_kwargs={"min_stop_distinct": args.min_stop_distinct},
-            )
-            print(json.dumps(res))
-        elif args.cmd == "media-corpus":
-            from .pipelines.mediacorpus import run_media_corpus
-
-            res = run_media_corpus(
-                args.sf_dir,
-                args.output,
-                sidecar_root=args.sidecar,
-                n_partitions=args.partitions,
-                concurrency=args.num_cpus,
             )
             print(json.dumps(res))
         elif args.cmd == "curate":

@@ -13,9 +13,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..corpus import synth_batch, synth_variants_batch
-from ..stages.align import align_variants
 from ..stages.extract import extract, flatten_spans_batch
-from ..stages.metrics import cer_by_source
 
 
 def raw_corpus(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
@@ -71,29 +69,6 @@ def corpus_extract_pipeline(corpus_dir: str):
 def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
     """read materialized corpus → extract → variants → fused align+CER."""
     docs = corpus_extract_pipeline(corpus_dir)
-    return _evaluate_from_docs(docs, seed=seed, sources=sources)
-
-
-def align_pipeline(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
-    """extracted docs → per-source corrupted variant lines → n-way align."""
-    docs = extract_pipeline(sf_dir, pages_per_doc=pages_per_doc, seed=seed)
-    variants = docs.map_batches(
-        synth_variants_batch, batch_format="pyarrow", fn_kwargs={"sources": tuple(sources), "seed": seed}
-    )
-    return align_variants(variants, list(sources))
-
-
-def evaluate_pipeline(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
-    """Full chain ending in per-source CER of aligned line variants vs GT
-    (reference div/stats.py:31-91 semantics), FUSED with ZERO shuffle:
-    variants are synthesized inside each doc's batch, so alignment,
-    per-line OCR/GT pairing and CER partial sums all happen batch-
-    locally and only tiny per-source partials reach the final
-    aggregate — neither the variant rows nor the aligned intermediate
-    ever cross an exchange (at 10^12 docs either would dominate
-    shuffle bytes).
-    """
-    docs = extract_pipeline(sf_dir, pages_per_doc=pages_per_doc, seed=seed)
     return _evaluate_from_docs(docs, seed=seed, sources=sources)
 
 
@@ -163,40 +138,6 @@ def _evaluate_from_docs(docs, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT"
         return b
 
     return out.map_batches(rate, batch_format="pandas")
-
-
-def evaluate_pipeline_unfused(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
-    """Reference-shaped chain (align stage output shuffled to the eval
-    stage) — kept for parity testing against the fused version."""
-    aligned = align_pipeline(sf_dir, pages_per_doc=pages_per_doc, seed=seed)
-
-    def line_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
-        # whole hash bucket: all sources of every (doc, line) are
-        # co-located because the bucket key is doc_id, so one vectorized
-        # pivot per bucket pairs each OCR source with GT
-        b = bucket[bucket["level"] == "line"]
-        if b.empty:
-            return pd.DataFrame({"source": [], "text": [], "gt_text": []})
-        wide = b.pivot_table(
-            index=["doc_id", "line_no"], columns="source", values="text", aggfunc="first"
-        ).reset_index()
-        out = []
-        for src in ("OCR-1", "OCR-2"):
-            if src not in wide.columns or "GT" not in wide.columns:
-                continue
-            out.append(
-                pd.DataFrame(
-                    {"source": src, "text": wide[src].fillna(""), "gt_text": wide["GT"].fillna("")}
-                )
-            )
-        if not out:
-            return pd.DataFrame({"source": [], "text": [], "gt_text": []})
-        return pd.concat(out, ignore_index=True)
-
-    from ..shuffle import bucketed_groupby
-
-    pairs = bucketed_groupby(aligned, "doc_id", line_pairs, whole_bucket=True)
-    return cer_by_source(pairs)
 
 
 def flatten(ds):

@@ -357,8 +357,8 @@ class DualChannelOCR:
         channels run in this call — so the (doc_id, line_no) join that
         the long path pays a bucketed exchange for is a page-LOCAL dict
         merge here. Emits one row per (doc_id, line_no) with one text
-        column per source, exactly the frame wide_lines would pivot to:
-        the union of GT and recognized line numbers, absent cells "".
+        column per source: the union of GT and recognized line numbers,
+        absent cells "".
         """
         doc_ids = batch["doc_id"].to_pylist()
         texts = batch["text"].to_pylist()
@@ -429,29 +429,6 @@ def gt_lines(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def wide_lines(variants, *, sources=("OCR-1", "OCR-2", "GT")):
-    """THE chain's single shuffle: long-form variant lines pivoted to one
-    row per (doc_id, line_no) with one text column per source. Every
-    downstream step (CER, confusion learning, line correction) is then
-    row-local — at corpus scale this is the difference between one
-    exchange and five."""
-    from ..shuffle import bucketed_groupby
-
-    srcs = list(sources)
-
-    def pivot(bucket: pd.DataFrame) -> pd.DataFrame:
-        wide = bucket.pivot_table(
-            index=["doc_id", "line_no"], columns="source", values="text", aggfunc="first"
-        ).reset_index()
-        for s in srcs:
-            if s not in wide.columns:
-                wide[s] = ""
-            wide[s] = wide[s].fillna("")
-        return wide[["doc_id", "line_no"] + srcs]
-
-    return bucketed_groupby(variants, "doc_id", pivot, whole_bucket=True)
-
-
 def _cer_partials_wide(wide: pa.Table, pairs: list[tuple[str, str]]) -> pa.Table:
     """Row-local CER partials from the wide frame: one output row per
     (stage-source) per batch."""
@@ -496,7 +473,6 @@ def _cer_reduce(partials, stage: str) -> pd.DataFrame:
 def run_ocr_chain(
     sf_dir: str,
     *,
-    rebalance: bool = True,
     out_dir: str | None = None,
     media_sidecar: str | None = None,
 ):
@@ -530,18 +506,7 @@ def run_ocr_chain(
     (``postcorrect.correct_lines``). No actor pool: the chain starts no
     processes per run and finishes on a 1-CPU session.
     """
-    import os
-    import time
     from functools import partial
-
-    _t0 = [time.perf_counter()]
-    _trace = os.environ.get("GRAFT_CHAIN_TIMING")
-
-    def _mark(label: str) -> None:
-        if _trace:
-            now = time.perf_counter()
-            print(f"[chain] {label}: {now - _t0[0]:.2f}s", flush=True)
-            _t0[0] = now
 
     # lexicon from the corpus vocabulary (the reference's language
     # dict), built distributed + top-V truncated — never a full-corpus
@@ -567,31 +532,25 @@ def run_ocr_chain(
 
         # render pages ONCE and share across engine channels (pages are the
         # expensive media payload; the object store holds them for both);
-        # rebalance=True re-partitions by byte-weighted doc_id ranges so the
+        # the rebalance re-partitions by byte-weighted doc_id ranges so the
         # fan-out sees equal-byte blocks even under media-size skew
         pages = synth_pages(sf_dir, carry_text=True)
         if media_sidecar is not None:
             from ..state.mediastore import externalize_media
 
             pages = externalize_media(pages, media_sidecar)
-        if rebalance:
-            pages, _ = rebalance_pages(pages)
-        else:
-            pages = pages.materialize()
-        _mark("pages")
+        pages, _ = rebalance_pages(pages)
         # ZERO-shuffle wide frame: the page row carries its GT text, both
         # OCR channels run fused in one task, and the (doc_id, line_no)
-        # source join happens page-locally inside it — the bucketed
-        # wide_lines pivot this chain used to pay (~7 s of pure exchange at
-        # sf0.1/32cpus: the pivot compute is negligible, the all-to-all is
-        # not) is gone. wide_lines stays for consumers that genuinely hold
-        # long-form variant rows (q50–q52, align eval).
+        # source join happens page-locally inside it, so the chain pays no
+        # bucketed pivot of long-form variant lines (~7 s of pure exchange
+        # at sf0.1/32cpus: the pivot compute is negligible, the all-to-all
+        # is not).
         wide = pages.map_batches(
             partial(_ocr_wide_batch, sidecar_root=media_sidecar),
             batch_format="pyarrow",
             batch_size=8,
         ).materialize()
-        _mark("ocr_wide")
 
         # raw CER over the (materialized) wide frame runs in a thread too:
         # it has no dependency on the correction path and overlaps the
@@ -607,7 +566,6 @@ def run_ocr_chain(
         )
 
         lexicon = lex_future.result()
-        _mark("lexicon")
 
         # channel model learned from OCR-2-vs-GT pairs — row-local over
         # wide, SAMPLE-BOUND: the confusion estimate saturates after a few
@@ -624,7 +582,6 @@ def run_ocr_chain(
         confusions = learn_confusions(
             wide.map_batches(to_pairs, batch_format="pyarrow"), sample_rate=0.25
         )
-        _mark("confusions")
 
         # learned re-ranker + decision maker over candidate features
         # (rank/distance/frequency/peer agreement — the reference's
@@ -646,7 +603,6 @@ def run_ocr_chain(
             confusions,
             sample_rate=1.0,
         )
-        _mark("train_ranker")
 
         # line-level correction as tasks (cursor matcher + nOCR peer vote
         # per token; no token-level shuffle)
@@ -686,7 +642,6 @@ def run_ocr_chain(
             ),
             stage="postcorrected",
         )
-        _mark("correct+cer")
 
         cer_raw = cer_raw_future.result()
     finally:

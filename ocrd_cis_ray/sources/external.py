@@ -9,7 +9,7 @@ annotates the recognized text as new TextEquivs (line and glyph level).
 Restated Ray-Data-first: a directory of ``{doc_id}__{line_no}.pred.txt``
 UTF-8 files streams through ``read_binary_files`` into a variant-lines
 Dataset (doc_id, source, line_no, text, conf) — the exact schema the
-alignment shuffle consumes (pipelines/ocr_chain.py wide_lines), so an
+alignment shuffle consumes (stages/align.py align_variants), so an
 external engine's output unions into the n-way alignment like any
 internal OCR channel. Unmatched / misnamed files are skipped with the
 reference's log-and-skip tolerance (importer.py:120-127).

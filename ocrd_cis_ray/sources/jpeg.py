@@ -17,8 +17,7 @@ component (grayscale) or 3 components (YCbCr) with sampling factors
 1 or 2 (covers 4:4:4, 4:2:2 and 4:2:0 — the layouts practically all
 corpus JPEGs use), restart intervals (DRI / RSTn), multiple DQT/DHT
 segments. Arithmetic coding, 12-bit and hierarchical modes raise
-``NotImplementedError`` up front with the production hint — same
-policy as the PNG/Y4M codecs in ``media.py``.
+``NotImplementedError`` up front with the production hint.
 
 Supported (encode): grayscale and RGB at 4:4:4 or 4:2:0, libjpeg
 quality scaling of the Annex K tables, optional restart interval (so

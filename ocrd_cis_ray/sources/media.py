@@ -1,12 +1,12 @@
-"""Media payload codec + deterministic synthetic line images.
+"""Page-image codecs + deterministic synthetic line images.
 
-No image libraries ship in this environment (no PIL/cv2), so media
-travels as a tiny self-describing raw-gray codec inside Arrow
-``large_binary`` columns: header = magic 'G8', uint32 width, uint32
-height, then height×width uint8 pixels (0=black .. 255=white). The
-Ray-side plumbing (schema, batch shapes, actor signatures) is real; a
-production deployment swaps the codec for PNG/JPEG decode inside the
-same batch UDFs.
+Media are page images, carried as 2-D grayscale arrays inside Arrow
+``large_binary`` columns with no image library (no PIL/cv2). Two
+codecs live here: a tiny self-describing raw-gray codec (header =
+magic 'G8', uint32 width, uint32 height, then height×width uint8
+pixels, 0=black .. 255=white) and a stdlib-zlib PNG codec
+(``encode_png``/``decode_png``, ``rgb_to_gray`` for color input).
+JPEG lives in ``sources/jpeg.py``.
 
 ``render_line`` synthesizes deterministic text-line rasters (box-glyph
 patterns per character, controlled skew / salt noise / margin
@@ -42,78 +42,6 @@ def decode_gray(buf: bytes) -> np.ndarray:
     assert buf[:2] == MAGIC, "not a raw-gray payload"
     w, h = struct.unpack_from("<II", buf, 2)
     return np.frombuffer(buf, dtype=np.uint8, offset=10).reshape(h, w)
-
-
-# ---------------------------------------------------------------------------
-# WAV (RIFF PCM) codec — stdlib `wave`, no external audio library needed.
-
-
-def encode_wav(
-    samples: np.ndarray, sample_rate: int = 16_000, *, sampwidth: int = 2
-) -> bytes:
-    """float32/float64 samples in [-1, 1] -> PCM WAV bytes.
-
-    ``samples`` is (n,) mono or (n, channels). ``sampwidth`` bytes per
-    sample: 1 (unsigned 8-bit), 2 (int16) or 4 (int32) — the PCM
-    subtypes the stdlib ``wave`` module writes."""
-    import io
-    import wave as _wave
-
-    a = np.asarray(samples, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    n, ch = a.shape
-    a = np.clip(a, -1.0, 1.0)
-    if sampwidth == 1:
-        pcm = ((a * 127.0) + 128.0).round().astype(np.uint8)
-    elif sampwidth == 2:
-        pcm = (a * 32767.0).round().astype("<i2")
-    elif sampwidth == 4:
-        pcm = (a * 2147483647.0).round().astype("<i4")
-    else:
-        raise ValueError(f"unsupported sampwidth {sampwidth}")
-    buf = io.BytesIO()
-    with _wave.open(buf, "wb") as w:
-        w.setnchannels(ch)
-        w.setsampwidth(sampwidth)
-        w.setframerate(sample_rate)
-        w.writeframes(np.ascontiguousarray(pcm).tobytes())
-    return buf.getvalue()
-
-
-def decode_wav(payload: bytes) -> tuple[np.ndarray, int]:
-    """PCM WAV bytes -> (float32 samples in [-1, 1], sample_rate).
-
-    Samples are (n,) for mono, (n, channels) otherwise. Supports the
-    8/16/32-bit PCM subtypes ``wave`` reads; raises ``wave.Error`` on
-    non-RIFF/compressed input (callers treat that as not-a-WAV)."""
-    import io
-    import wave as _wave
-
-    with _wave.open(io.BytesIO(payload), "rb") as w:
-        ch = w.getnchannels()
-        sw = w.getsampwidth()
-        sr = w.getframerate()
-        raw = w.readframes(w.getnframes())
-    if sw == 1:
-        a = (np.frombuffer(raw, dtype=np.uint8).astype(np.float32) - 128.0) / 127.0
-    elif sw == 2:
-        a = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32767.0
-    elif sw == 3:  # 24-bit: widen 3-byte LE to int32 with sign extension
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        v = np.where(v >= 1 << 23, v - (1 << 24), v)
-        a = v.astype(np.float32) / 8388607.0
-    elif sw == 4:
-        a = np.frombuffer(raw, dtype="<i4").astype(np.float32) / 2147483647.0
-    else:
-        raise NotImplementedError(
-            f"WAV sampwidth {sw} not supported (1/2/3/4-byte PCM decode "
-            "natively); production: soundfile/librosa"
-        )
-    if ch > 1:
-        a = a.reshape(-1, ch)
-    return a, sr
 
 
 from functools import lru_cache
@@ -514,70 +442,3 @@ def rgb_to_gray(arr: np.ndarray) -> np.ndarray:
         return arr[:, :, 0]
     r, g, b = arr[:, :, 0].astype(np.uint32), arr[:, :, 1].astype(np.uint32), arr[:, :, 2].astype(np.uint32)
     return ((299 * r + 587 * g + 114 * b) // 1000).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Y4M (YUV4MPEG2) codec — plain-text header + raw frames, the
-# ffmpeg-interoperable uncompressed video container. Supports C420
-# (4:2:0, the default) and Cmono.
-
-
-def encode_y4m(frames: np.ndarray, *, fps: int = 25, mono: bool = False) -> bytes:
-    """uint8 (n, h, w) luma frames -> Y4M bytes (chroma neutral 128 for
-    C420; h and w must be even in 420 mode — enforced, since odd dims
-    would need the ceil half-plane sizes real 4:2:0 uses and the file
-    would be silently unreadable by ffmpeg)."""
-    f = np.ascontiguousarray(frames, dtype=np.uint8)
-    n, h, w = f.shape
-    if not mono and (h % 2 or w % 2):
-        raise ValueError(f"C420 requires even frame dims, got {h}x{w}; use mono=True")
-    colorspace = b"Cmono" if mono else b"C420jpeg"
-    head = b"YUV4MPEG2 W%d H%d F%d:1 Ip A1:1 %s\n" % (w, h, fps, colorspace)
-    out = bytearray(head)
-    chroma = b"" if mono else bytes([128]) * ((h // 2) * (w // 2)) * 2
-    for i in range(n):
-        out += b"FRAME\n" + f[i].tobytes() + chroma
-    return bytes(out)
-
-
-def decode_y4m(payload: bytes) -> tuple[np.ndarray, int]:
-    """Y4M bytes -> (uint8 (n, h, w) luma frames, fps rounded to int —
-    NTSC 30000:1001 reports 30). Chroma planes (C420*) are parsed and
-    skipped — features here are luma-based. Colorspaces other than
-    C420*/Cmono (C422, C444) have different plane sizes and raise
-    ``NotImplementedError`` up front instead of failing mid-stream."""
-    nl = payload.index(b"\n")
-    head = payload[:nl].split(b" ")
-    if head[0] != b"YUV4MPEG2":
-        raise ValueError("not a Y4M payload")
-    w = h = fps = 0
-    mono = False
-    for tok in head[1:]:
-        if tok[:1] == b"W":
-            w = int(tok[1:])
-        elif tok[:1] == b"H":
-            h = int(tok[1:])
-        elif tok[:1] == b"F":
-            num, _, den = tok[1:].partition(b":")
-            fps = round(int(num) / max(1, int(den or b"1")))
-        elif tok[:1] == b"C":
-            if tok == b"Cmono":
-                mono = True
-            elif not tok.startswith(b"C420"):
-                raise NotImplementedError(
-                    f"Y4M colorspace {tok.decode()} not supported (C420*/Cmono "
-                    "decode natively); production: PyAV/ffmpeg"
-                )
-    per = h * w + (0 if mono else (h // 2) * (w // 2) * 2)
-    frames = []
-    pos = nl + 1
-    while pos < len(payload):
-        fe = payload.index(b"\n", pos)  # FRAME line (may carry params)
-        if payload[pos : pos + 5] != b"FRAME":
-            raise ValueError("bad Y4M frame marker")
-        pos = fe + 1
-        frames.append(
-            np.frombuffer(payload, dtype=np.uint8, offset=pos, count=h * w).reshape(h, w)
-        )
-        pos += per
-    return (np.stack(frames) if frames else np.zeros((0, h, w), np.uint8)), fps

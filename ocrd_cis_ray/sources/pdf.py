@@ -10,13 +10,13 @@ of one with a real parser — object lexer, xref-independent object scan,
 content-stream interpreter covering the standard text operators
 (BT/ET, Tf, Tm, Td, TD, TL, T*, Tj, TJ with kerning numbers, ' and ").
 
-This mirrors how the PNG/WAV/Y4M codecs in `sources/media.py` work: no
-PDF library ships in this environment, so the codec is written from the
-published file-format spec (ISO 32000-1 / PDF 1.4 reference) and the
-extractor is exercised end-to-end by an oracle-checked distributed
-query (q83) plus round-trip unit tests. Compressed rasters, embedded
-fonts and encrypted files are out of scope (documented), exactly like
-JPEG/mp3/h264 on the media side.
+This mirrors how the PNG codec in `sources/media.py` and the JPEG codec
+in `sources/jpeg.py` work: no PDF library ships in this environment, so
+the codec is written from the published file-format spec (ISO 32000-1 /
+PDF 1.4 reference) and the extractor is exercised end-to-end by an
+oracle-checked distributed query (q83) plus round-trip unit tests.
+Compressed rasters, embedded fonts and encrypted files are out of scope
+(documented).
 
 Coordinate convention: PDF user space is bottom-up; the layout module
 (`stages/layout.py`) is top-down. The writer flips y (PAGE_H - y) on

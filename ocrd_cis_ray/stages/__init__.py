@@ -1,1 +1,1 @@
-"""Batch-transform stages (stateless map_batches UDFs and actor-pool classes)."""
+"""Batch-transform stages: map_batches UDFs run as plain tasks (no actor pools)."""

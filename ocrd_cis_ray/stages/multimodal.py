@@ -1,47 +1,20 @@
-"""Multimodal columns: image / audio / video as opaque binary payloads
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+"""Page-image decode and interleaved context-window sharding.
 
-Schema convention (one row per media asset or per document span):
-
-    doc_id: string | int64
-    media_ref: string            # content address / storage key
-    modality: string             # image | audio | video
-    payload: large_binary        # encoded bytes (opaque)
-    meta: string                 # JSON: {width,height} | {sample_rate,channels,duration_s} | {fps,frames,width,height}
-
-All three modalities have a REAL decode path with no external
-library: image = PNG (stdlib-zlib codec, FULL subtype coverage:
-palette+tRNS, gray+alpha, bit depths 1/2/4/8/16, Adam7 interlace,
-all five scanline filters) AND JPEG — baseline + progressive —
-(pure numpy T.81 codec, ``sources/jpeg.py``) plus the raw-gray
-codec; audio = PCM WAV via the stdlib ``wave`` module (8/16/32-bit,
-mono or multichannel) AND FLAC (pure-numpy RFC 9639 codec,
-``sources/flac.py``); video = Y4M/YUV4MPEG2 (the
-ffmpeg-interoperable uncompressed container) AND Motion-JPEG in AVI
-(``sources/avi.py``). The remaining codecs (mp3/ogg audio,
-inter-frame h264/vp9 video, arithmetic JPEG) still need
-soundfile/PyAV and raise ``NotImplementedError`` with the
-production hint; with ``fake=True`` the audio/video decoders
-synthesize a deterministic payload-derived array so that path's
-plumbing (schema, batch size, actor signature, output layout)
-stays exercised and tested.
-
-Batch sizing: media rows are wide; stages default to small batches
-(16-64) so batch x concurrency stays inside a worker heap, per the
-memory guidance in BASELINE/SURVEY §4.
+``decode_image`` turns one encoded page-image payload (PNG, JPEG or
+the raw-gray codec) into a uint8 grayscale array; q81 and q110 run it.
+``window_offsets`` and ``window_interleaved_docs`` cut an interleaved
+text+media unit stream into fixed token windows.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pyarrow as pa
 
-from ..sources.media import decode_gray, encode_gray
+from ..sources.media import decode_gray
 
 # ---------------------------------------------------------------------------
-# decode kernels
+# decode
 
 
 def decode_image(payload: bytes) -> np.ndarray:
@@ -49,8 +22,7 @@ def decode_image(payload: bytes) -> np.ndarray:
     codec: 8-bit gray/RGB/RGBA, all five scanline filters), JPEG
     (T.81 codec in ``sources/jpeg.py``: baseline AND progressive,
     grayscale + YCbCr 4:4:4/4:2:2/4:2:0, restart markers) and the
-    raw-gray codec. Color is reduced to ITU-R 601 luma for the
-    feature kernels."""
+    raw-gray codec. Color is reduced to ITU-R 601 luma."""
     if payload[:8] == b"\x89PNG\r\n\x1a\n":
         from ..sources.media import decode_png, rgb_to_gray
 
@@ -66,229 +38,6 @@ def decode_image(payload: bytes) -> np.ndarray:
         "image decode: PNG, JPEG (baseline + progressive) and raw-gray "
         "decode natively; other codecs (TIFF/WebP) need pillow/cv2"
     )
-
-
-def decode_audio(payload: bytes, *, fake: bool = False) -> np.ndarray:
-    """Audio decode — REAL for PCM WAV (stdlib ``wave``: 8/16/32-bit,
-    any channel count) and FLAC (pure-numpy RFC 9639 codec in
-    ``sources/flac.py``: all subframe types, both rice methods,
-    all four channel layouts, CRC-verified), downmixed to mono for
-    the feature kernels.
-
-    Lossy codecs (mp3/ogg) still need an external library
-    (soundfile/librosa) and raise ``NotImplementedError`` with the
-    production hint. ``fake=True`` keeps the deterministic
-    payload-derived waveform for plumbing tests of that path.
-    """
-    if fake:
-        b = np.frombuffer(payload, dtype=np.uint8).astype(np.float32)
-        return (b - 127.5) / 127.5  # [-1, 1] mono waveform
-    if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
-        from ..sources.media import decode_wav
-
-        samples, _sr = decode_wav(payload)
-        if samples.ndim == 2:  # downmix: equal-weight channel mean
-            samples = samples.mean(axis=1).astype(np.float32)
-        return samples
-    if payload[:4] == b"fLaC":
-        from ..sources.flac import decode_flac, flac_streaminfo
-
-        samples, _sr = decode_flac(payload)
-        bps = flac_streaminfo(payload)["bits_per_sample"]  # 8..24: scale by the stream's own grid
-        out = samples.astype(np.float32) / float(1 << (bps - 1))
-        if out.ndim == 2:
-            out = out.mean(axis=1).astype(np.float32)
-        return out
-    raise NotImplementedError(
-        "lossy audio decode (mp3/ogg) requires an audio library "
-        "(soundfile/librosa); PCM WAV and FLAC decode natively, or run "
-        "with fake=True for plumbing tests"
-    )
-
-
-def decode_video_frames(payload: bytes, *, fake: bool = False, frame_shape=(8, 8)) -> np.ndarray:
-    """Video decode to (n_frames, h, w) uint8 luma frames — REAL for
-    Y4M/YUV4MPEG2 (the ffmpeg-interoperable uncompressed container;
-    C420 chroma parsed and skipped, Cmono native) AND Motion-JPEG in
-    AVI (``sources/avi.py``: RIFF walk + the engine's own baseline-JPEG
-    codec per frame; color frames reduce to ITU-R 601 luma).
-
-    Inter-frame codecs (h264/vp9/...) still need PyAV/ffmpeg and raise
-    ``NotImplementedError``. ``fake=True`` keeps the deterministic
-    payload-reshape for plumbing tests of that path.
-    """
-    if fake:
-        h, w = frame_shape
-        per = h * w
-        b = np.frombuffer(payload, dtype=np.uint8)
-        n = len(b) // per
-        return b[: n * per].reshape(n, h, w)
-    if payload[:9] == b"YUV4MPEG2":
-        from ..sources.media import decode_y4m
-
-        frames, _fps = decode_y4m(payload)
-        return frames
-    if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
-        from ..sources.avi import decode_mjpeg_avi
-        from ..sources.media import rgb_to_gray
-
-        frames, _fps = decode_mjpeg_avi(payload)
-        return np.stack([rgb_to_gray(f) for f in frames]) if frames else np.zeros((0, 0, 0), np.uint8)
-    raise NotImplementedError(
-        "inter-frame video decode (h264/vp9) requires PyAV/ffmpeg; Y4M "
-        "and MJPEG-AVI decode natively, or run with fake=True for "
-        "plumbing tests"
-    )
-
-
-# ---------------------------------------------------------------------------
-# feature kernels (numpy; modality-specific)
-
-
-def resize_gray(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbour resize (production: bilinear via an image lib)."""
-    h, w = img.shape
-    ys = np.clip((np.arange(out_h) * h / out_h).astype(int), 0, h - 1)
-    xs = np.clip((np.arange(out_w) * w / out_w).astype(int), 0, w - 1)
-    return img[ys[:, None], xs[None, :]]
-
-
-def audio_features(wave: np.ndarray, *, n_bands: int = 8) -> np.ndarray:
-    """Cheap spectral-ish features: RMS per equal time band (float32)."""
-    if len(wave) == 0:
-        return np.zeros(n_bands, dtype=np.float32)
-    bands = np.array_split(wave.astype(np.float64), n_bands)
-    return np.array([np.sqrt((b**2).mean()) if len(b) else 0.0 for b in bands], dtype=np.float32)
-
-
-def sample_frames(frames: np.ndarray, k: int) -> np.ndarray:
-    """Uniform temporal frame sampling: k frames evenly spaced."""
-    n = len(frames)
-    if n == 0:
-        return frames
-    idx = np.linspace(0, n - 1, min(k, n)).round().astype(int)
-    return frames[idx]
-
-
-# ---------------------------------------------------------------------------
-# actor-pool stages
-
-
-class MediaFeaturizer:
-    """Actor-pool stage: decode + featurize media rows by modality.
-
-    Output per row: doc_id, media_ref, modality, feature:list<float32>
-    (image: 64-bin intensity histogram of the resized thumbnail; audio:
-    band RMS; video: per-sampled-frame mean intensities), plus
-    ok:bool + error:string (log-and-skip policy).
-    """
-
-    def __init__(self, *, fake_decode: bool = False, thumb: int = 16, n_bands: int = 8, k_frames: int = 4,
-                 sidecar_root: str | None = None):
-        self.fake = fake_decode
-        self.thumb = thumb
-        self.n_bands = n_bands
-        self.k_frames = k_frames
-        self.sidecar_root = sidecar_root
-
-    def _featurize(self, modality: str, payload: bytes, meta: dict) -> np.ndarray:
-        if modality == "image":
-            img = decode_image(payload)
-            t = resize_gray(img, self.thumb, self.thumb)
-            hist, _ = np.histogram(t, bins=64, range=(0, 256))
-            return (hist / max(1, t.size)).astype(np.float32)
-        if modality == "audio":
-            wave = decode_audio(payload, fake=self.fake)
-            return audio_features(wave, n_bands=self.n_bands)
-        if modality == "video":
-            frames = decode_video_frames(payload, fake=self.fake)
-            picked = sample_frames(frames, self.k_frames)
-            feats = picked.reshape(len(picked), -1).mean(axis=1) if len(picked) else np.zeros(0)
-            out = np.zeros(self.k_frames, dtype=np.float32)
-            out[: len(feats)] = feats
-            return out
-        raise ValueError(f"unknown modality {modality}")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mods = batch["modality"].to_pylist()
-        if self.sidecar_root is not None and "payload" not in batch.column_names:
-            # sidecar rows: hydrate AFTER all exchanges, refs deduped per batch
-            from ..state.mediastore import _store_for
-
-            refs = batch["media_ref"].to_pylist()
-            blobs = _store_for(self.sidecar_root).get_many(refs)
-            payloads = [blobs[r] for r in refs]
-        else:
-            payloads = batch["payload"].to_pylist()
-        metas = batch["meta"].to_pylist()
-        feats, oks, errs = [], [], []
-        for mod, payload, meta in zip(mods, payloads, metas):
-            try:
-                meta_d = json.loads(meta) if meta else {}
-                feats.append(self._featurize(mod, payload, meta_d).tolist())
-                oks.append(True)
-                errs.append("")
-            except NotImplementedError as e:
-                feats.append([])
-                oks.append(False)
-                errs.append(str(e))
-            except Exception as e:  # log-and-skip
-                feats.append([])
-                oks.append(False)
-                errs.append(f"{type(e).__name__}: {e}")
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "media_ref": batch["media_ref"],
-                "modality": batch["modality"],
-                "feature": pa.array(feats, pa.list_(pa.float32())),
-                "ok": pa.array(oks, pa.bool_()),
-                "error": pa.array(errs, pa.string()),
-            }
-        )
-
-
-def featurize_media(ds, *, fake_decode: bool = False, concurrency: int = 4, batch_size: int = 32,
-                    num_cpus: float = 1, sidecar_root: str | None = None):
-    """Dataset wrapper: the multimodal actor-pool stage (small batches —
-    wide binary rows). With ``sidecar_root``, payload-less rows carry
-    only ``media_ref`` and hydrate lazily inside the actor."""
-    return ds.map_batches(
-        MediaFeaturizer,
-        fn_constructor_kwargs={"fake_decode": fake_decode, "sidecar_root": sidecar_root},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        batch_size=batch_size,
-        num_cpus=num_cpus,
-    )
-
-
-class ImageThumbnailer:
-    """Actor-pool stage: image rows -> resized thumbnails (real path).
-
-    doc_id, media_ref, payload -> same + thumb:large_binary (raw-gray),
-    out meta updated. Demonstrates derived-media lineage (the
-    AlternativeImage pattern: derived payload + feature tag)."""
-
-    def __init__(self, *, out_h: int = 24, out_w: int = 24):
-        self.out_h = out_h
-        self.out_w = out_w
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        thumbs, metas = [], []
-        for payload in batch["payload"].to_pylist():
-            try:
-                img = decode_image(payload)
-                t = resize_gray(img, self.out_h, self.out_w)
-                thumbs.append(encode_gray(t))
-                metas.append(json.dumps({"width": self.out_w, "height": self.out_h}))
-            except Exception:
-                thumbs.append(b"")
-                metas.append("{}")
-        cols = {n: batch[n] for n in batch.column_names}
-        cols["thumb"] = pa.array(thumbs, pa.large_binary())
-        cols["thumb_meta"] = pa.array(metas, pa.string())
-        return pa.table(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -164,54 +164,6 @@ def test_window_offsets_equals_sequential_scan(doc_shapes, window):
 
 
 @given(
-    samples=st.lists(st.integers(-32768, 32767), min_size=0, max_size=600),
-    po=st.integers(0, 3),
-    rm=st.integers(0, 1),
-    lpc=st.booleans(),
-)
-@settings(max_examples=40, deadline=None)
-def test_flac_roundtrip_arbitrary_int16(samples, po, rm, lpc):
-    """FLAC is lossless for ANY int16 sequence (incl. extremes and
-    empty), every partition/method/predictor combination."""
-    import numpy as np
-
-    from ocrd_cis_ray.sources.flac import decode_flac, encode_flac
-
-    x = np.array(samples, np.int16)
-    enc = encode_flac(
-        x, 16_000,
-        method="lpc" if lpc else "fixed",
-        partition_order=po, rice_method=rm,
-        block_size=256,  # small blocks: multi-frame streams under hypothesis sizes
-    )
-    dec, rate = decode_flac(enc, verify_md5=True)
-    assert rate == 16_000
-    assert np.array_equal(dec, x.astype(np.int32))
-
-
-@given(
-    n=st.integers(1, 4),
-    h=st.integers(8, 24),
-    w=st.integers(8, 24),
-    v=st.integers(0, 255),
-    fps=st.integers(1, 60),
-)
-@settings(max_examples=25, deadline=None)
-def test_mjpeg_avi_constant_frames_exact(n, h, w, v, fps):
-    """Constant-luma MJPEG frames round-trip bit-exactly at q95 for any
-    dims/fps (DC-only blocks; container framing independent of size)."""
-    import numpy as np
-
-    from ocrd_cis_ray.sources.avi import decode_mjpeg_avi, encode_mjpeg_avi
-
-    frames = np.full((n, h, w), v, np.uint8)
-    dec, got_fps = decode_mjpeg_avi(encode_mjpeg_avi(frames, fps=fps, quality=95))
-    assert got_fps == float(fps)
-    assert len(dec) == n
-    assert all(np.array_equal(f, frames[0]) for f in dec)
-
-
-@given(
     n_keys=st.integers(1, 20),
     hot_mass=st.integers(0, 3000),
     n_blocks=st.integers(1, 6),

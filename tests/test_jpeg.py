@@ -202,29 +202,6 @@ def test_decode_image_sniffs_jpeg():
     assert np.abs(luma.astype(int) - expected.astype(int)).mean() < 4.0
 
 
-def test_featurizer_accepts_jpeg(ray_session):
-    import json
-
-    import ray
-
-    from ocrd_cis_ray.stages.multimodal import featurize_media
-
-    rows = [
-        {
-            "doc_id": i,
-            "media_ref": f"jpg://{i}",
-            "modality": "image",
-            "payload": encode_jpeg(_gradient(16 + i, 24), quality=90),
-            "meta": json.dumps({"width": 24, "height": 16 + i}),
-        }
-        for i in range(6)
-    ]
-    out = featurize_media(ray.data.from_items(rows), concurrency=2).take_all()
-    assert len(out) == 6
-    assert all(r["ok"] for r in out)
-    assert all(len(r["feature"]) == 64 for r in out)
-
-
 def test_422_subsampling_full_path():
     """4:2:2 (horizontal-only chroma subsampling): decode path now
     exercised end-to-end — PSNR ordered between 4:4:4 and 4:2:0,

@@ -1,181 +1,10 @@
-"""Multimodal columns: real image path, stubbed audio/video decode
-(NotImplementedError by default, deterministic fake for plumbing)."""
+"""Page-image codecs (PNG, ``decode_image``) and interleaved
+context-window sharding."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-import pyarrow as pa
 import pytest
-
-from ocrd_cis_ray.sources.media import encode_gray, render_line
-from ocrd_cis_ray.stages.multimodal import (
-    MediaFeaturizer,
-    audio_features,
-    decode_audio,
-    decode_video_frames,
-    featurize_media,
-    ImageThumbnailer,
-    resize_gray,
-    sample_frames,
-)
-
-
-def _rows():
-    img = render_line("media doc")
-    return [
-        {
-            "doc_id": "d0",
-            "media_ref": "m/img0",
-            "modality": "image",
-            "payload": encode_gray(img),
-            "meta": json.dumps({"width": img.shape[1], "height": img.shape[0]}),
-        },
-        {
-            "doc_id": "d1",
-            "media_ref": "m/aud0",
-            "modality": "audio",
-            "payload": bytes(range(256)) * 4,
-            "meta": json.dumps({"sample_rate": 16000, "channels": 1, "duration_s": 0.064}),
-        },
-        {
-            "doc_id": "d2",
-            "media_ref": "m/vid0",
-            "modality": "video",
-            "payload": bytes(range(256)) * 2,
-            "meta": json.dumps({"fps": 8, "frames": 8, "width": 8, "height": 8}),
-        },
-    ]
-
-
-def test_audio_video_stubs_raise_without_fake():
-    with pytest.raises(NotImplementedError):
-        decode_audio(b"\x00\x01")
-    with pytest.raises(NotImplementedError):
-        decode_video_frames(b"\x00\x01")
-
-
-def test_fake_decoders_deterministic():
-    w1 = decode_audio(b"\x00\x80\xff", fake=True)
-    w2 = decode_audio(b"\x00\x80\xff", fake=True)
-    assert np.array_equal(w1, w2)
-    assert w1.min() >= -1.0 and w1.max() <= 1.0
-    f = decode_video_frames(bytes(range(128)), fake=True)
-    assert f.shape == (2, 8, 8)
-
-
-def test_resize_and_sampling_kernels():
-    img = render_line("resize")
-    t = resize_gray(img, 16, 16)
-    assert t.shape == (16, 16)
-    frames = np.arange(10 * 4).reshape(10, 2, 2).astype(np.uint8)
-    s = sample_frames(frames, 4)
-    assert s.shape == (4, 2, 2)
-    assert s[0].tolist() == frames[0].tolist() and s[-1].tolist() == frames[9].tolist()
-    assert audio_features(np.zeros(100), n_bands=4).shape == (4,)
-
-
-def test_featurizer_stage_fake(ray_session):
-    import ray.data as rd
-
-    out = featurize_media(
-        rd.from_arrow(pa.Table.from_pylist(_rows())), fake_decode=True, concurrency=1
-    ).to_pandas()
-    assert len(out) == 3
-    assert out["ok"].all()
-    by_mod = out.set_index("modality")["feature"]
-    assert len(by_mod["image"]) == 64  # histogram
-    assert len(by_mod["audio"]) == 8  # band RMS
-    assert len(by_mod["video"]) == 4  # sampled frame means
-
-
-def test_featurizer_stage_stub_records_error(ray_session):
-    import ray.data as rd
-
-    out = featurize_media(
-        rd.from_arrow(pa.Table.from_pylist(_rows())), fake_decode=False, concurrency=1
-    ).to_pandas()
-    img = out[out["modality"] == "image"].iloc[0]
-    assert img["ok"] and len(img["feature"]) == 64  # real path unaffected
-    aud = out[out["modality"] == "audio"].iloc[0]
-    assert not aud["ok"] and "audio decode" in aud["error"]
-
-
-def test_thumbnailer(ray_session):
-    import ray.data as rd
-
-    from ocrd_cis_ray.sources.media import decode_gray
-
-    rows = [r for r in _rows() if r["modality"] == "image"]
-    out = (
-        rd.from_arrow(pa.Table.from_pylist(rows))
-        .map_batches(ImageThumbnailer, batch_format="pyarrow", concurrency=1, batch_size=8)
-        .to_pandas()
-    )
-    t = decode_gray(out["thumb"][0])
-    assert t.shape == (24, 24)
-    assert json.loads(out["thumb_meta"][0])["width"] == 24
-
-
-def test_wav_round_trip_all_widths():
-    """encode_wav -> decode_wav parity at 8/16/32-bit, mono and stereo."""
-    from ocrd_cis_ray.sources.media import decode_wav, encode_wav
-
-    t = np.arange(800) / 8000.0
-    mono = np.sin(2 * np.pi * 440.0 * t).astype(np.float32)
-    for sw, tol in ((1, 1 / 120.0), (2, 1 / 30000.0), (4, 1e-7)):
-        got, sr = decode_wav(encode_wav(mono, 8000, sampwidth=sw))
-        assert sr == 8000 and got.shape == mono.shape
-        assert np.abs(got - mono).max() < tol
-    stereo = np.stack([mono, -mono], axis=1)
-    got, sr = decode_wav(encode_wav(stereo, 44100, sampwidth=2))
-    assert sr == 44100 and got.shape == stereo.shape
-    assert np.abs(got - stereo).max() < 1 / 30000.0
-
-
-def test_decode_audio_real_wav_and_downmix():
-    """decode_audio is REAL for PCM WAV (no fake flag needed); stereo
-    downmixes to mono; non-WAV still raises with the production hint."""
-    from ocrd_cis_ray.sources.media import encode_wav
-
-    t = np.arange(400) / 8000.0
-    mono = (0.5 * np.sin(2 * np.pi * 220.0 * t)).astype(np.float32)
-    got = decode_audio(encode_wav(mono, 8000))
-    assert np.abs(got - mono).max() < 1 / 30000.0
-    stereo = np.stack([mono, np.zeros_like(mono)], axis=1)
-    mixed = decode_audio(encode_wav(stereo, 8000))
-    assert mixed.ndim == 1 and np.abs(mixed - mono / 2).max() < 1 / 15000.0
-    with pytest.raises(NotImplementedError):
-        decode_audio(b"ID3\x03not-a-wav-payload")
-
-
-def test_featurizer_real_wav_rows(ray_session):
-    """The audio modality runs the REAL path end-to-end when payloads
-    are WAV: ok=True, band-RMS features, no fake flag."""
-    import ray.data as rd
-
-    from ocrd_cis_ray.sources.media import encode_wav
-
-    t = np.arange(1600) / 16000.0
-    rows = [
-        {
-            "doc_id": f"w{i}",
-            "media_ref": f"m/wav{i}",
-            "modality": "audio",
-            "payload": encode_wav(np.sin(2 * np.pi * f * t), 16000),
-            "meta": json.dumps({"sample_rate": 16000, "channels": 1, "duration_s": 0.1}),
-        }
-        for i, f in enumerate((220.0, 440.0))
-    ]
-    out = featurize_media(
-        rd.from_arrow(pa.Table.from_pylist(rows)), fake_decode=False, concurrency=1
-    ).to_pandas()
-    assert out["ok"].all()
-    feats = np.array(out["feature"].tolist())
-    assert feats.shape == (2, 8)
-    # pure sine: every band RMS ~ amplitude/sqrt(2)
-    assert np.abs(feats - 1 / np.sqrt(2)).max() < 0.02
 
 
 def test_png_round_trip_all_filters_and_subtypes():
@@ -211,100 +40,6 @@ def test_decode_image_png_and_luma():
     # genuinely unsupported codec magic (TIFF) keeps the env-stub error
     with pytest.raises(NotImplementedError):
         decode_image(b"II*\x00 tiff-ish")
-
-
-def test_y4m_round_trip_and_real_video_features(ray_session):
-    """decode_video_frames is REAL for Y4M; the featurizer runs the
-    video modality end-to-end without the fake flag."""
-    import ray.data as rd
-
-    from ocrd_cis_ray.sources.media import encode_y4m
-
-    rng = np.random.default_rng(11)
-    frames = rng.integers(0, 256, (6, 8, 10), dtype=np.uint8)
-    got = decode_video_frames(encode_y4m(frames, fps=30))
-    assert (got == frames).all()
-    got = decode_video_frames(encode_y4m(frames, mono=True))
-    assert (got == frames).all()
-    with pytest.raises(NotImplementedError):
-        decode_video_frames(b"\x00\x00\x00\x18ftypmp42 not-real-mp4")
-
-    rows = [
-        {
-            "doc_id": "v0",
-            "media_ref": "m/y4m0",
-            "modality": "video",
-            "payload": encode_y4m(frames),
-            "meta": json.dumps({"fps": 25, "frames": 6, "width": 10, "height": 8}),
-        }
-    ]
-    out = featurize_media(
-        rd.from_arrow(pa.Table.from_pylist(rows)), fake_decode=False, concurrency=1
-    ).to_pandas()
-    assert out["ok"].all()
-    feats = np.array(out["feature"][0])
-    assert feats.shape == (4,)  # k_frames sampled mean intensities
-    assert np.all(feats > 0)
-
-
-def test_featurizer_real_png_rows(ray_session):
-    import ray.data as rd
-
-    from ocrd_cis_ray.sources.media import encode_png, render_line
-
-    img = render_line("png doc")
-    rows = [
-        {
-            "doc_id": "p0",
-            "media_ref": "m/png0",
-            "modality": "image",
-            "payload": encode_png(img),
-            "meta": json.dumps({"width": img.shape[1], "height": img.shape[0]}),
-        }
-    ]
-    out = featurize_media(
-        rd.from_arrow(pa.Table.from_pylist(rows)), fake_decode=False, concurrency=1
-    ).to_pandas()
-    assert out["ok"].all() and len(out["feature"][0]) == 64
-
-
-def test_wav_24bit_decode():
-    """24-bit PCM (pro-audio subtype; stdlib wave writes raw 3-byte
-    frames) decodes with sign extension."""
-    import io
-    import wave
-
-    from ocrd_cis_ray.sources.media import decode_wav
-
-    vals = np.array([0, 8388607, -8388608, -1, 4194304], dtype=np.int64)
-    raw = b"".join(int(v & 0xFFFFFF).to_bytes(3, "little") for v in vals)
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(3)
-        w.setframerate(48000)
-        w.writeframes(raw)
-    got, sr = decode_wav(buf.getvalue())
-    assert sr == 48000
-    want = vals / 8388607.0
-    assert np.abs(got - want).max() < 1e-6
-
-
-def test_y4m_guards_and_rational_fps():
-    from ocrd_cis_ray.sources.media import decode_y4m, encode_y4m
-
-    # unsupported colorspace rejected up front, not mid-stream
-    bad = b"YUV4MPEG2 W4 H4 F25:1 Ip A1:1 C444\nFRAME\n" + bytes(48)
-    with pytest.raises(NotImplementedError):
-        decode_y4m(bad)
-    # NTSC rational frame rate rounds instead of truncating to numerator
-    ntsc = b"YUV4MPEG2 W2 H2 F30000:1001 Ip A1:1 Cmono\nFRAME\n" + bytes(4)
-    frames, fps = decode_y4m(ntsc)
-    assert fps == 30 and frames.shape == (1, 2, 2)
-    # odd dims in C420 mode raise instead of writing a corrupt file
-    with pytest.raises(ValueError):
-        encode_y4m(np.zeros((1, 3, 4), np.uint8))
-    encode_y4m(np.zeros((1, 3, 4), np.uint8), mono=True)  # mono ok
 
 
 def test_window_offsets_matches_sequential_reference():
