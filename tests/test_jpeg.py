@@ -202,6 +202,40 @@ def test_decode_image_sniffs_jpeg():
     assert np.abs(luma.astype(int) - expected.astype(int)).mean() < 4.0
 
 
+def test_featurizer_accepts_jpeg(ray_session):
+    """JPEG payloads in media rows (``payload`` bytes + JSON ``meta``)
+    decode through ``decode_image`` inside a Ray Data map, one row per
+    page image of its own size, at the dimensions the row declares."""
+    import json
+
+    import ray
+
+    rows = [
+        {
+            "doc_id": i,
+            "media_ref": f"jpg://{i}",
+            "modality": "image",
+            "payload": encode_jpeg(_gradient(16 + i, 24), quality=90),
+            "meta": json.dumps({"width": 24, "height": 16 + i}),
+        }
+        for i in range(6)
+    ]
+
+    def decode_row(row):
+        img = decode_image(row["payload"])
+        meta = json.loads(row["meta"])
+        return {
+            "doc_id": row["doc_id"],
+            "ok": img.shape == (meta["height"], meta["width"]),
+            "psnr": _psnr(img, _gradient(meta["height"], meta["width"])),
+        }
+
+    out = ray.data.from_items(rows).map(decode_row).take_all()
+    assert sorted(r["doc_id"] for r in out) == list(range(6))
+    assert all(r["ok"] for r in out)
+    assert all(r["psnr"] > 45.0 for r in out)
+
+
 def test_422_subsampling_full_path():
     """4:2:2 (horizontal-only chroma subsampling): decode path now
     exercised end-to-end — PSNR ordered between 4:4:4 and 4:2:0,
