@@ -1,19 +1,24 @@
 """Flagship end-to-end pipeline: corpus → extraction → variants →
-n-way alignment → evaluation metrics.
+line pairing → evaluation metrics.
 
 Mirrors the reference's aio super-pipeline (ocrd_cis/aio/aio.py:
 unpack → recognize per OCR engine → align → stats) as one lazy Ray
-Data flow: every stage is a map_batches/groupby over the streaming
-executor, nothing materializes the corpus on the driver.
+Data flow up to the per-block CER partials, which the driver sums.
+The evaluation reads only the line level of the alignment: the
+reference's ``align_lines`` (align/cli.py:82-109) appends each support
+line to the master line's TextEquiv list, which is a join on
+(doc_id, line_no) and does not depend on word matching. Word-level
+alignment is ``stages.align.align_variants``.
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..corpus import synth_batch, synth_variants_batch
 from ..stages.extract import extract, flatten_spans_batch
+from ..stages.metrics import cer_partials_wide, cer_reduce
 
 
 def raw_corpus(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
@@ -39,7 +44,7 @@ def materialize_corpus(sf_dir: str, out_dir: str, *, pages_per_doc: int = 1, see
 
     256 files: single-row-group files cannot be split below file
     granularity by the reader, so the file count IS the downstream
-    block count — 64 files gave the 32-cpu fused evaluate a 2-wave
+    block count — 64 files gave the 32-cpu evaluate a 2-wave
     straggler tail. A cached dir with a DIFFERENT file count is
     regenerated (the count is the layout contract)."""
     import os
@@ -66,78 +71,56 @@ def corpus_extract_pipeline(corpus_dir: str):
     return extract(read_corpus(corpus_dir))
 
 
+def line_frame(variants: pa.Table, sources) -> pa.Table:
+    """Wide line frame (doc_id, line_no, <source>...) of one block of
+    long-form variant lines (doc_id, source, line_no, text), one row
+    per (doc_id, source, line_no).
+
+    ``sources[0]`` is the master: its rows give the keys. Every other
+    source joins onto them with a left join, and a missing cell is "".
+    A source that matches no master line in the block gets no column,
+    like a source absent from the aligner's line rows."""
+    keys = ["doc_id", "line_no"]
+    by_source = variants["source"]
+
+    def rows_of(src: str) -> pa.Table:
+        t = variants.filter(pc.equal(by_source, src))
+        return pa.table({"doc_id": t["doc_id"], "line_no": t["line_no"], src: pc.fill_null(t["text"], "")})
+
+    wide = rows_of(sources[0])
+    for src in sources[1:]:
+        wide = wide.join(rows_of(src), keys=keys, join_type="left outer", use_threads=False)
+    present = [c for c in wide.column_names[2:] if wide[c].null_count < wide.num_rows]
+    return pa.table({**{k: wide[k] for k in keys}, **{c: pc.fill_null(wide[c], "") for c in present}})
+
+
+def line_cer_partials(variants: pa.Table, sources) -> pa.Table:
+    """Per-block CER partials of the line pairs (source line, GT line)
+    of every non-GT source in ``line_frame(variants, sources)``. A
+    block whose master lines pair with no GT line yields no rows."""
+    wide = line_frame(variants, sources)
+    cols = set(wide.column_names)
+    pairs = [(s, "GT") for s in sources if s != "GT" and s in cols] if "GT" in cols else []
+    return cer_partials_wide(wide, pairs)
+
+
 def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
-    """read materialized corpus → extract → variants → fused align+CER."""
+    """read materialized corpus → extract → variants → line CER
+    partials per block → driver-side sum. Returns a Dataset (source,
+    char_errors, gt_chars, char_error_rate) sorted by source.
+
+    Each block derives every source's variant of a document inside the
+    block (``synth_variants_batch``), so the (doc_id, line_no) join is
+    block-local and the run is one Dataset execution with no exchange.
+    Block granularity rides on the corpus file count (see
+    ``materialize_corpus``)."""
+    import ray.data as rd
+
+    def block_partials(t: pa.Table) -> pa.Table:
+        return line_cer_partials(synth_variants_batch(t, sources=sources, seed=seed), sources)
+
     docs = corpus_extract_pipeline(corpus_dir)
-    return _evaluate_from_docs(docs, seed=seed, sources=sources)
-
-
-def _evaluate_from_docs(docs, *, seed: int = 42, sources=("OCR-1", "OCR-2", "GT")):
-    from ..stages.align import NWayAligner
-    from ..util import levenshtein
-
-    aligner = NWayAligner(list(sources))
-    ocr_sources = [s for s in sources if s != "GT"]
-
-    def align_and_eval(bucket: pd.DataFrame) -> pd.DataFrame:
-        aligned = aligner(bucket)
-        b = aligned[aligned["level"] == "line"]
-        if b.empty:
-            return pd.DataFrame({"source": [], "char_errors": [], "gt_chars": []})
-        wide = b.pivot_table(
-            index=["doc_id", "line_no"], columns="source", values="text", aggfunc="first"
-        ).reset_index()
-        acc: dict[str, list[int]] = {}
-        if "GT" in wide.columns:
-            gts = wide["GT"].fillna("").to_numpy()
-            for src in ocr_sources:
-                if src not in wide.columns:
-                    continue
-                errs = chars = 0
-                for t, g in zip(wide[src].fillna("").to_numpy(), gts):
-                    errs += levenshtein(t, g)
-                    chars += len(g)
-                acc[src] = [errs, chars]
-        srcs = sorted(acc)
-        return pd.DataFrame(
-            {
-                "source": srcs,
-                "char_errors": pd.array([acc[s][0] for s in srcs], dtype="int64"),
-                "gt_chars": pd.array([acc[s][1] for s in srcs], dtype="int64"),
-            }
-        )
-
-    # ZERO-shuffle: synth_variants_batch derives every source's variant
-    # of a doc INSIDE the doc's batch, so whole-doc locality already
-    # holds per batch and the former bucketed_groupby(doc_id) exchange
-    # moved multi-million variant rows for nothing (the chain's wide
-    # path applies the same insight). Long-form inputs whose sources
-    # arrive as separate rows (external OCR importers, q60-q62) still
-    # go through align_variants' genuine exchange.
-    def synth_align_eval(t: pa.Table) -> pd.DataFrame:
-        bucket = synth_variants_batch(
-            t, sources=tuple(sources), seed=seed
-        ).to_pandas()
-        return align_and_eval(bucket)
-
-    # block granularity rides on the corpus file count (256 — see
-    # materialize_corpus): single-row-group parquet can't be split
-    # below file granularity, and a repartition here would reintroduce
-    # an exchange the fusion just removed
-    partials = docs.map_batches(synth_align_eval, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-
-    out = partials.groupby("source").aggregate(
-        Sum("char_errors", alias_name="char_errors"), Sum("gt_chars", alias_name="gt_chars")
-    )
-
-    def rate(b: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        b["char_error_rate"] = np.where(b["gt_chars"] > 0, b["char_errors"] / b["gt_chars"], 0.0)
-        return b
-
-    return out.map_batches(rate, batch_format="pandas")
+    return rd.from_pandas(cer_reduce(docs.map_batches(block_partials, batch_format="pyarrow")))
 
 
 def flatten(ds):

@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sources.media import encode_gray, render_line
+from ..stages.metrics import cer_partials_wide, cer_reduce
 from ..util import stable_hash64
 
 LINES_PER_PAGE = 6
@@ -402,72 +403,7 @@ def _ocr_wide_batch(batch: pa.Table, *, sidecar_root: str | None) -> pa.Table:
     return DualChannelOCR(emit_wide=True, sidecar_root=sidecar_root)(batch)
 
 
-def gt_lines(sf_dir: str):
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def fn(t: pa.Table) -> pa.Table:
-        out = {"doc_id": [], "source": [], "line_no": [], "text": [], "conf": []}
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            for ln, lt in enumerate(page_lines(text)):
-                out["doc_id"].append(str(did))
-                out["source"].append("GT")
-                out["line_no"].append(ln)
-                out["text"].append(lt)
-                out["conf"].append(1.0)
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"], pa.string()),
-                "source": pa.array(out["source"], pa.string()),
-                "line_no": pa.array(out["line_no"], pa.int32()),
-                "text": pa.array(out["text"], pa.string()),
-                "conf": pa.array(np.array(out["conf"], np.float32)),
-            }
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def _cer_partials_wide(wide: pa.Table, pairs: list[tuple[str, str]]) -> pa.Table:
-    """Row-local CER partials from the wide frame: one output row per
-    (stage-source) per batch."""
-    from ..util import levenshtein
-
-    cols = {name: wide[name].to_pylist() for name in {c for pr in pairs for c in pr}}
-    out_src, out_err, out_chars = [], [], []
-    for src, gt_col in pairs:
-        e = c = 0
-        for t, g in zip(cols[src], cols[gt_col]):
-            t, g = t or "", g or ""
-            if t != g:  # fast path: corrected lines are mostly exact
-                e += levenshtein(t, g)
-            c += len(g)
-        out_src.append(src)
-        out_err.append(e)
-        out_chars.append(c)
-    return pa.table(
-        {
-            "source": pa.array(out_src, pa.string()),
-            "char_errors": pa.array(out_err, pa.int64()),
-            "gt_chars": pa.array(out_chars, pa.int64()),
-        }
-    )
-
-
-def _cer_reduce(partials, stage: str) -> pd.DataFrame:
-    # partials carry ≤ len(pairs) rows PER BLOCK (already map-side
-    # combined), so the reduce input is O(blocks × sources) tiny rows —
-    # a driver-side pandas sum, not a Ray sort-aggregate (which costs
-    # ~2 s of fixed all-to-all overhead regardless of row count)
-    out = (
-        partials.to_pandas()
-        .groupby("source", as_index=False)[["char_errors", "gt_chars"]]
-        .sum()
-    )
-    out["char_error_rate"] = np.where(out["gt_chars"] > 0, out["char_errors"] / out["gt_chars"], 0.0)
-    out["stage"] = stage
-    return out
+_cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
 
 
 def run_ocr_chain(
@@ -556,13 +492,12 @@ def run_ocr_chain(
         # it has no dependency on the correction path and overlaps the
         # confusion/ranker training jobs below
         cer_raw_future = _threads.submit(
-            lambda: _cer_reduce(
+            lambda: cer_reduce(
                 wide.map_batches(
-                    partial(_cer_partials_wide, pairs=[("OCR-1", "GT"), ("OCR-2", "GT")]),
+                    partial(cer_partials_wide, pairs=[("OCR-1", "GT"), ("OCR-2", "GT")]),
                     batch_format="pyarrow",
-                ),
-                stage="raw",
-            )
+                )
+            ).assign(stage="raw")
         )
 
         lexicon = lex_future.result()
@@ -636,12 +571,11 @@ def run_ocr_chain(
         def fixed_wide(t: pa.Table) -> pa.Table:
             return pa.table({"OCR-2": t["corrected_text"], "GT": t["GT"]})
 
-        cer_fixed = _cer_reduce(
+        cer_fixed = cer_reduce(
             fixed.map_batches(fixed_wide, batch_format="pyarrow").map_batches(
-                partial(_cer_partials_wide, pairs=[("OCR-2", "GT")]), batch_format="pyarrow"
-            ),
-            stage="postcorrected",
-        )
+                partial(cer_partials_wide, pairs=[("OCR-2", "GT")]), batch_format="pyarrow"
+            )
+        ).assign(stage="postcorrected")
 
         cer_raw = cer_raw_future.result()
     finally:

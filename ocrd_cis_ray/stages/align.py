@@ -23,6 +23,11 @@ Reference semantics (ocrd_cis/align/cli.py):
   here the aligner holds only its source list, so the caller builds it
   once and it ships inside the tasks' function.
 
+Word rows are consumed only through ``align_variants`` (q61, q62,
+q112). The line level alone is a join on (doc_id, line_no): the
+flagship evaluation builds it that way (pipelines/flagship.line_frame)
+and does not run this aligner.
+
 Scale shape: one ``groupby(doc_id)`` shuffle of the long-form variant
 lines; everything after is row-local. Skewed (media-heavy) docs don't
 skew this exchange because only text lines move.
@@ -85,10 +90,10 @@ class NWayAligner:
     Input batches are hash buckets of the long-form variant table
     (doc_id, source, line_no, text, conf) holding whole documents —
     produced by ``bucketed_groupby(..., whole_bucket=True)``
-    (``align_variants``) or the flagship's fused align+eval bucket
-    pass. ``sources[0]`` is the master group (the reference's first -I
-    group); remaining sources are supports in order; a trailing "GT"
-    group participates like any support (README.md:151-154 semantics).
+    (``align_variants``). ``sources[0]`` is the master group (the
+    reference's first -I group); remaining sources are supports in
+    order; a trailing "GT" group participates like any support
+    (README.md:151-154 semantics).
 
     Output (long form, line level + word level interleaved by `level`):
       doc_id, line_no:int32, level('line'|'word'), word_no:int32,

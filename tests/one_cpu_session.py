@@ -59,7 +59,7 @@ def extract_write(sf_dir: str, work: str) -> list[dict]:
 
 def corpus_evaluate(sf_dir: str, work: str) -> list[dict]:
     """The shape of the align_eval benchmark workload: extract ->
-    variants -> fused align + CER."""
+    variants -> line pairing + CER."""
     from ocrd_cis_ray.pipelines.flagship import corpus_evaluate_pipeline, materialize_corpus
 
     corpus = materialize_corpus(os.path.join(work, "chain"), os.path.join(work, "corpus"), files=4)
