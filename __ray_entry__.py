@@ -2202,7 +2202,7 @@ def q78_eval_report(sf_dir: str):
     recognized' — GT-word membership in the prediction, '#accuracy'):
     per OCR source vs GT over aligned variant lines. Zero shuffle: the
     wide frame is built batch-locally (_wide_variant_lines), per-block
-    partial sums, driver reduce."""
+    partial sums, driver-side sum (stages/metrics.sum_partials)."""
     from ocrd_cis_ray.stages.metrics import eval_report
 
     wide = _wide_variant_lines(sf_dir, _EVAL_CORRUPTIONS)
@@ -2217,8 +2217,8 @@ def q113_eval_rollup(sf_dir: str):
     model; auswerter.py:91-126 drives the per-book runs). Books =
     doc_id % 7; metrics identical to q78 per (book, source) plus a
     '__total__' row per source. One streaming pass: integer partial
-    counters per block, one map-side-combined bucketed exchange,
-    bounded driver collect (stages/metrics.eval_rollup)."""
+    counters per block, summed on the driver with a bound on the group
+    count (stages/metrics.eval_rollup)."""
     from ocrd_cis_ray.stages.metrics import eval_rollup
 
     wide = _wide_variant_lines(sf_dir, _EVAL_CORRUPTIONS)
@@ -2253,11 +2253,11 @@ def q52_source_agreement(sf_dir: str):
     """Per-OCR-source agreement report vs GT over aligned variant lines
     — the reference's div/stats.py per-source match aggregation +
     auswerter.py summary (exact-line matches, levenshtein mass): the
-    wide frame is built batch-locally (zero shuffle), row-local
-    compares, Sum-reduce."""
-    from ray.data.aggregate import Sum
+    wide frame is built batch-locally (zero shuffle), the wide CER
+    kernel's partials are summed on the driver."""
+    from functools import partial
 
-    from ocrd_cis_ray.util import levenshtein
+    from ocrd_cis_ray.stages.metrics import cer_partials_wide, sum_partials
 
     wide = _wide_variant_lines(
         sf_dir,
@@ -2265,44 +2265,13 @@ def q52_source_agreement(sf_dir: str):
             (src, lambda s, sub=sub: s.replace(*sub)) for src, sub, _ in _CHAIN_CORRUPTIONS
         ),
     )
-
-    def partials(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for src in ("OCR-1", "OCR-2"):
-            gt = b["GT"]
-            t = b[src]
-            rows.append(
-                {
-                    "source": src,
-                    "n_lines": len(b),
-                    "n_exact": int((t == gt).sum()),
-                    "lev_sum": int(sum(levenshtein(x or "", g or "") for x, g in zip(t, gt))),
-                }
-            )
-        return pd.DataFrame(rows)
-
-    agg = (
-        wide.map_batches(partials, batch_format="pandas")
-        .groupby("source")
-        .aggregate(
-            Sum("n_lines", alias_name="n_lines"),
-            Sum("n_exact", alias_name="n_exact"),
-            Sum("lev_sum", alias_name="lev_sum"),
-        )
+    partials = wide.map_batches(
+        partial(cer_partials_wide, pairs=[("OCR-1", "GT"), ("OCR-2", "GT")]), batch_format="pyarrow"
     )
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "source": b["source"],
-                "n_lines": b["n_lines"].astype("int64"),
-                "n_exact": b["n_exact"].astype("int64"),
-                "lev_sum": b["lev_sum"].astype("int64"),
-                "match_rate": (b["n_exact"] / b["n_lines"]).astype("float64"),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
+    out = sum_partials(partials, ["source"], ["n_lines", "n_exact", "char_errors"])
+    out = out.rename(columns={"char_errors": "lev_sum"})
+    out["match_rate"] = (out["n_exact"] / out["n_lines"]).astype("float64")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..corpus import synth_batch, synth_variants_batch
-from ..stages.extract import extract, flatten_spans_batch
+from ..stages.extract import extract
 from ..stages.metrics import cer_partials_wide, cer_reduce
 
 
@@ -113,15 +113,15 @@ def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1
     block (``synth_variants_batch``), so the (doc_id, line_no) join is
     block-local and the run is one Dataset execution with no exchange.
     Block granularity rides on the corpus file count (see
-    ``materialize_corpus``)."""
+    ``materialize_corpus``). Raises ValueError, before any Ray work,
+    when ``sources`` has no "GT" to score against."""
     import ray.data as rd
+
+    if "GT" not in sources:
+        raise ValueError(f"corpus_evaluate_pipeline: sources {tuple(sources)} lack the 'GT' source")
 
     def block_partials(t: pa.Table) -> pa.Table:
         return line_cer_partials(synth_variants_batch(t, sources=sources, seed=seed), sources)
 
     docs = corpus_extract_pipeline(corpus_dir)
     return rd.from_pandas(cer_reduce(docs.map_batches(block_partials, batch_format="pyarrow")))
-
-
-def flatten(ds):
-    return ds.map_batches(flatten_spans_batch, batch_format="pyarrow")

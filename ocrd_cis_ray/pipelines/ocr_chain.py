@@ -266,9 +266,9 @@ def degrade_batch(t: pa.Table, *, source: str, noise: int, erode: float, seed: i
 
 
 _CHANNEL_CONFIGS = (
-    # (source, speck noise, stroke erosion, engine confidence)
-    ("OCR-1", 25, 0.15, 0.9),
-    ("OCR-2", 60, 0.32, 0.7),
+    # (source, speck noise, stroke erosion)
+    ("OCR-1", 25, 0.15),
+    ("OCR-2", 60, 0.32),
 )
 
 
@@ -282,21 +282,18 @@ class DualChannelOCR:
     page, the binarized page and the line crops in task-local memory —
     the only rows that leave the stage are the final TEXT lines
     (tuple-weight, not media-weight). The recognition state (template
-    bank / LSTM) is shared by both channels. A build is cheap (well
+    bank) is shared by both channels. A build is cheap (well
     under the cost of one page), so the chain builds one per batch
     inside a plain task (``_ocr_wide_batch``)."""
 
-    def __init__(self, *, seed: int = 42, model_path: str | None = None, emit_wide: bool = False,
-                 sidecar_root: str | None = None):
+    def __init__(self, *, emit_wide: bool = True, sidecar_root: str | None = None):
         from ..stages.recognize import Recognizer
 
+        if emit_wide is not True:
+            raise ValueError("DualChannelOCR emits the wide line frame only (emit_wide=True)")
         # text_only: the chain consumes line TEXT only — word/glyph
         # polygon assembly is per-char Python dict churn it never reads
-        self.rec = Recognizer(
-            text_only=True, **({"model_path": model_path} if model_path else {})
-        )
-        self.seed = seed
-        self.emit_wide = emit_wide
+        self.rec = Recognizer(text_only=True)
         self.sidecar_root = sidecar_root
 
     def _hydrate(self, batch: pa.Table) -> pa.Table:
@@ -320,53 +317,29 @@ class DualChannelOCR:
         from ..stages.image_ops import _media_stage
         from ..stages.segment import segment_pages_batch
 
-        for source, noise, erode, conf in _CHANNEL_CONFIGS:
-            t = degrade_batch(batch, source=source, noise=noise, erode=erode, seed=self.seed)
+        for source, noise, erode in _CHANNEL_CONFIGS:
+            t = degrade_batch(batch, source=source, noise=noise, erode=erode)
             t = _media_stage(t, op="binarize", params={"method": "global"})
             t = _media_stage(t, op="denoise", params={"minsize": 2})
             t = segment_pages_batch(t)
-            yield source, conf, self.rec(t)
+            yield source, self.rec(t)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = self._hydrate(batch)
-        if self.emit_wide:
-            return self._call_wide(batch)
-        outs = []
-        for source, conf, r in self._channel_lines(batch):
-            line_no = pa.array(
-                [int(s.rsplit("-", 1)[-1]) for s in r["span_id"].to_pylist()],
-                pa.int32(),
-            )
-            n = r.num_rows
-            outs.append(
-                pa.table(
-                    {
-                        "doc_id": r["doc_id"],
-                        "source": pa.array([source] * n, pa.string()),
-                        "line_no": line_no,
-                        "text": r["text"],
-                        "conf": pa.array(np.full(n, conf, dtype=np.float32)),
-                    }
-                )
-            )
-        return pa.concat_tables(outs)
-
-    def _call_wide(self, batch: pa.Table) -> pa.Table:
         """Zero-shuffle wide path: the page row carries its source text
         (synth_pages carry_text=True), the GT lines derive from it with
         the SAME page_lines layout that rendered the page, and both OCR
-        channels run in this call — so the (doc_id, line_no) join that
-        the long path pays a bucketed exchange for is a page-LOCAL dict
-        merge here. Emits one row per (doc_id, line_no) with one text
-        column per source: the union of GT and recognized line numbers,
-        absent cells "".
+        channels run in this call — so the (doc_id, line_no) join of
+        the sources is a page-LOCAL dict merge here. Emits one row per
+        (doc_id, line_no) with one text column per source: the union of
+        GT and recognized line numbers, absent cells "".
         """
+        batch = self._hydrate(batch)
         doc_ids = batch["doc_id"].to_pylist()
         texts = batch["text"].to_pylist()
         media = batch.drop_columns(["text"])
 
         chan_maps: dict[str, dict[str, dict[int, str]]] = {}
-        for source, _conf, r in self._channel_lines(media):
+        for source, r in self._channel_lines(media):
             per_doc: dict[str, dict[int, str]] = {}
             for did, sid, tx in zip(
                 r["doc_id"].to_pylist(), r["span_id"].to_pylist(), r["text"].to_pylist()
@@ -399,8 +372,8 @@ class DualChannelOCR:
 
 
 def _ocr_wide_batch(batch: pa.Table, *, sidecar_root: str | None) -> pa.Table:
-    """Task form of the fused OCR stage (``DualChannelOCR`` wide path)."""
-    return DualChannelOCR(emit_wide=True, sidecar_root=sidecar_root)(batch)
+    """Task form of the fused OCR stage (``DualChannelOCR``)."""
+    return DualChannelOCR(sidecar_root=sidecar_root)(batch)
 
 
 _cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
@@ -430,7 +403,7 @@ def run_ocr_chain(
     Shuffle budget: ZERO media-or-line exchanges. The page row carries
     its GT text, both OCR channels run fused per task, and the wide
     (doc_id, line_no) frame is assembled page-locally inside the OCR
-    task (DualChannelOCR emit_wide). CER, confusion learning, ranker
+    task (DualChannelOCR). CER, confusion learning, ranker
     training and line correction all run row-locally over the
     materialized wide frame. (The gated rebalance pays one media
     exchange ONLY when the realized block-byte spread exceeds its

@@ -73,6 +73,14 @@ def ocr_chain(sf_dir: str, work: str) -> list[dict]:
     return out[["stage", "source", "char_errors", "gt_chars"]].to_dict("records")
 
 
+def eval_rollup(sf_dir: str, work: str) -> list[dict]:
+    """q113's shape (the CLI ``report`` rollup) over the chain's
+    document slice."""
+    from __ray_entry__ import q113_eval_rollup
+
+    return q113_eval_rollup(os.path.join(work, "chain")).to_dict("records")
+
+
 def cutter(sf_dir: str, work: str) -> list[dict]:
     from ocrd_cis_ray.pipelines.cutter import cut_training_lines
 
@@ -132,6 +140,7 @@ ENTRY_POINTS = {
     "extract_write_resumable": extract_write,
     "corpus_evaluate_pipeline": corpus_evaluate,
     "run_ocr_chain": ocr_chain,
+    "eval_rollup": eval_rollup,
     "cut_training_lines": cutter,
     "ingest_resumable": ingest,
     "write_page_xml_corpus": page_xml_sink,

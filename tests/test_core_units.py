@@ -213,7 +213,7 @@ def test_eval_report_partials_formula():
     """div/eval.py semantics: char errors = levenshtein mass, words
     recognized = GT-word membership in the prediction word list with GT
     duplicates each counted (eval.py:183-207)."""
-    from ocrd_cis_ray.stages.metrics import eval_report_partials
+    from ocrd_cis_ray.stages.metrics import eval_partials
 
     b = pa.table(
         {
@@ -221,7 +221,7 @@ def test_eval_report_partials_formula():
             "OCR-1": ["thc cat thc", "dog rnns"],  # e->c style noise
         }
     )
-    out = eval_report_partials(b, sources=("OCR-1",)).to_pydict()
+    out = eval_partials(b, sources=("OCR-1",)).to_pydict()
     assert out["n_lines"] == [2]
     assert out["gt_chars"] == [len("the cat the") + len("dog runs")]
     assert out["char_errors"] == [2 + 1]

@@ -16,6 +16,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ocrd_cis_ray.corpus import synth_variants_batch
@@ -136,5 +137,6 @@ def test_evaluate_pipeline_matches_aligner_oracle(ray_session, sf_dir, tmp_path)
     assert {r.source: [r.char_errors, r.gt_chars] for r in df.itertuples()} == want
     assert all(r.gt_chars > 0 and r.char_error_rate == r.char_errors / r.gt_chars for r in df.itertuples())
 
-    # without GT there is nothing to pair: no rows, and no error
-    assert corpus_evaluate_pipeline(corpus, sources=("OCR-1", "OCR-2")).count() == 0
+    # without GT there is nothing to score against: an error naming it
+    with pytest.raises(ValueError, match="'GT'"):
+        corpus_evaluate_pipeline(corpus, sources=("OCR-1", "OCR-2"))

@@ -104,7 +104,8 @@ def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
 
 def test_eval_rollup_empty_gt_group_stays_finite(ray_session):
     """(book, source) groups whose GT is all-empty must yield finite
-    accuracy (JSON-serializable report), not inf/NaN."""
+    accuracy (JSON-serializable report), not inf/NaN; so must the
+    per-source report over the same lines."""
     import json
 
     import numpy as np
@@ -112,7 +113,7 @@ def test_eval_rollup_empty_gt_group_stays_finite(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from ocrd_cis_ray.stages.metrics import eval_rollup
+    from ocrd_cis_ray.stages.metrics import eval_report, eval_rollup
 
     wide = rd.from_arrow(
         pa.table(
@@ -125,6 +126,6 @@ def test_eval_rollup_empty_gt_group_stays_finite(ray_session):
             }
         )
     )
-    out = eval_rollup(wide, sources=("OCR-1",))
-    assert np.isfinite(out["accuracy"]).all()
-    json.dumps(out.to_dict())  # strict-JSON serializable (no Infinity/NaN)
+    for out in (eval_rollup(wide, sources=("OCR-1",)), eval_report(wide, sources=("OCR-1",))):
+        assert np.isfinite(out["accuracy"]).all()
+        json.dumps(out.to_dict(), allow_nan=False)  # strict JSON: no Infinity/NaN

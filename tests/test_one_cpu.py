@@ -106,6 +106,6 @@ def test_entry_point_finishes_at_one_cpu(ray_session, sf_dir, one_cpu, name):
     work, done, failed = one_cpu
     if name in failed:
         pytest.fail(failed[name])
-    if name in ("run_ocr_chain", "corpus_evaluate_pipeline"):
+    if name in ("run_ocr_chain", "corpus_evaluate_pipeline", "eval_rollup"):
         # same rows and CER counts as in the 4-CPU session
         assert done[name] == digest(ENTRY_POINTS[name](sf_dir, work))
