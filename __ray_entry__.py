@@ -537,10 +537,9 @@ def q26_token_freq_quality(sf_dir: str):
 
     Two passes: (1) distributed token frequencies truncated to the
     top-V vocabulary (textops.token_frequencies: per-batch value_counts
-    partials → one bucketed aggregate → per-block top-V candidates →
-    driver top-V over ≤ blocks×V rows — driver memory independent of
-    vocabulary size; the long tail is 'rare' by definition, count 0),
-    broadcast once via ray.put; (2) per-doc scoring with one
+    partials summed on the driver, or past its size gate one bucketed
+    aggregate with per-block top-V candidates; the long tail is 'rare'
+    by definition, count 0), broadcast once via ray.put; (2) per-doc scoring with one
     pd merge + segment medians — no float summation, so engine and
     DuckDB agree bit-exactly. The sf0.01/sf0.1 vocabularies are far
     below V, so truncation is a no-op at oracle scale."""
@@ -829,8 +828,8 @@ def q111_semdedup_oracle(sf_dir: str):
 
 def q55_bpe_train_encode(sf_dir: str):
     """BPE tokenizer train -> encode (Sennrich et al. 2016): word
-    frequencies via the distributed top-V bucketed aggregate (the only
-    corpus-scale pass), greedy merge loop on the compact (word, count)
+    frequencies via the distributed top-V token count
+    (textops.token_frequencies, the only corpus-scale pass), greedy merge loop on the compact (word, count)
     table, then an actor-pool encoder (ranks loaded once per actor,
     word->len memo across batches). Rows-only: the iterative merge
     loop has no SQL expression; pytest pins the merge table against a
@@ -2836,8 +2835,8 @@ def q72_postcorrect(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     # lexicon = distributed top-V corpus vocabulary (the small side,
-    # broadcast once to the correction tasks) — no full-corpus
-    # driver scan; see token_frequencies for the 100-TB shape
+    # broadcast once to the correction tasks): per-batch partial counts,
+    # summed on the driver below token_frequencies' size gate
     lexicon = token_frequencies(ds, top_v=200_000).to_dict()
 
     def explode_corrupt(t: pa.Table) -> pa.Table:

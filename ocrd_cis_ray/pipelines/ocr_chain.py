@@ -2,24 +2,26 @@
 the reference's aio super-pipeline (ocrd_cis/aio/aio.py: unpack → per
 OCR engine recognize → align → profile/post-correct → stats):
 
-    page images
-      → per-OCR-source degradation (seeded noise; the "two scanners")
-      → preprocessing (binarize → despeckle)          [stateless tasks]
-      → line segmentation (recursive XY cut)          [stateless tasks]
-      → line recognition                              [stateless tasks]
-      → n-way join of OCR sources + GT                [page-local]
-      → per-source CER                                 [partial+reduce]
+    document text
+      → page render                                   ┐
+      → per-OCR-source degradation (seeded noise;     │ one task per
+        the "two scanners")                           │ pages batch,
+      → preprocessing (binarize → despeckle)          │ both channels
+      → line segmentation (recursive XY cut)          │
+      → line recognition                              │
+      → n-way join of OCR sources + GT (page-local)   ┘
+      → channel model (confusions) and ranker training
       → post-correction of the worst source           [tasks, per-worker state]
-      → CER after correction                           [partial+reduce]
+      → per-source CER before and after correction    [partials + driver sum]
 
-Both engine channels run fused in ONE task per pages batch and the
-per-line source join happens page-locally inside it (the GT text rides
-on the page row), so the chain moves media exactly once (render → OCR
-tasks) and text never shuffles. Every stage runs as plain Ray Data
-tasks on the session's warm workers: the chain starts no processes per
-run, and no stage holds a CPU that the tasks downstream of it need.
-GT lines are derived from the same deterministic page layout, so
-CER-before/after has exact goldens.
+The render runs inside the OCR task, so page media never leaves it:
+the rows that cross the object store are (doc_id, text) rows in and
+text lines out. ``run_ocr_chain`` makes five Dataset executions and its
+only exchange is the Repartition of the (doc_id, text) rows. Every
+stage runs as plain Ray Data tasks on the session's warm workers: the
+chain starts no processes per run, and no stage holds a CPU that the
+tasks downstream of it need. GT lines are derived from the same
+deterministic page layout, so CER-before/after has exact goldens.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ from ..util import stable_hash64
 
 LINES_PER_PAGE = 6
 WORDS_PER_LINE = 8
+# pages per OCR task batch: one page costs ~15 ms per channel
+OCR_BATCH_PAGES = 8
+# rows per task of the passes over the materialized wide frame
+# (confusions, ranker examples, correction + CER): each task pays a
+# fixed Ray cost that outweighs the work of a few hundred lines, and
+# the three results do not depend on the block layout
+WIDE_BUNDLE_LINES = 4096
 
 
 def page_lines(text: str) -> list[str]:
@@ -56,20 +65,42 @@ def compose_page(lines: list[str], *, gap: int = 6, pad: int = 12) -> np.ndarray
     return np.vstack(rows)
 
 
-def synth_pages(sf_dir: str, *, n_blocks: int | None = None, carry_text: bool = False):
-    """documents → page-image media rows (doc_id, span_id, media_ref,
-    features, pixels[, text]).
+def render_pages(t: pa.Table, *, carry_text: bool = False) -> pa.Table:
+    """(doc_id, text) rows → page-image media rows (doc_id, span_id,
+    media_ref, features, pixels[, text]): one page per document, laid
+    out by ``page_lines``.
 
-    The text-only input is repartitioned BEFORE the media render: a
-    single-file parquet read is one task, so without this the rendered
-    media lands in a handful of giant blocks and every downstream map
-    stage is starved of parallelism. The exchange moves only (doc_id,
-    text) rows — cheap — and buys N balanced media blocks.
+    ``carry_text=True`` keeps the source text on the page row so the OCR
+    stage can derive the GT lines page-locally (``DualChannelOCR``)."""
+    out = {"doc_id": [], "span_id": [], "media_ref": [], "features": [], "pixels": []}
+    texts = t["text"].to_pylist()
+    for did, text in zip(t["doc_id"].to_pylist(), texts):
+        img = compose_page(page_lines(text))
+        out["doc_id"].append(str(did))
+        out["span_id"].append("page-0")
+        out["media_ref"].append(f"media/{did}/page-0.bin")
+        out["features"].append("")
+        out["pixels"].append(encode_gray(img))
+    cols = {
+        "doc_id": pa.array(out["doc_id"], pa.string()),
+        "span_id": pa.array(out["span_id"], pa.string()),
+        "media_ref": pa.array(out["media_ref"], pa.string()),
+        "features": pa.array(out["features"], pa.string()),
+        "pixels": pa.array(out["pixels"], pa.large_binary()),
+    }
+    if carry_text:
+        cols["text"] = pa.array([s or "" for s in texts], pa.string())
+    return pa.table(cols)
 
-    ``carry_text=True`` keeps the source text on the page row so a
-    downstream stage can derive the GT lines page-locally (the chain's
-    zero-shuffle wide path) — the text is small next to the pixels and
-    rides along for free."""
+
+def _text_rows(sf_dir: str, n_blocks: int | None = None):
+    """(doc_id, text) rows of ``documents.parquet``, repartitioned into
+    ``n_blocks`` blocks.
+
+    A single-file parquet read is one task, so without the repartition
+    the pages land in a handful of giant blocks and the render and OCR
+    tasks downstream are starved of parallelism. The exchange moves
+    only the small text rows, never page media."""
     import ray
     import ray.data as rd
 
@@ -80,30 +111,21 @@ def synth_pages(sf_dir: str, *, n_blocks: int | None = None, carry_text: bool = 
         # straggler tail on the OCR stage (measured 11.8 s @ 2xCPU ->
         # 9.9 s @ 6xCPU for the OCR stage at sf0.1/32 cpus)
         n_blocks = max(16, 6 * int(ray.cluster_resources().get("CPU", 8)))
-    ds = ds.repartition(n_blocks)
+    return ds.repartition(n_blocks)
 
-    def render(t: pa.Table) -> pa.Table:
-        out = {"doc_id": [], "span_id": [], "media_ref": [], "features": [], "pixels": []}
-        texts = t["text"].to_pylist()
-        for did, text in zip(t["doc_id"].to_pylist(), texts):
-            img = compose_page(page_lines(text))
-            out["doc_id"].append(str(did))
-            out["span_id"].append("page-0")
-            out["media_ref"].append(f"media/{did}/page-0.bin")
-            out["features"].append("")
-            out["pixels"].append(encode_gray(img))
-        cols = {
-            "doc_id": pa.array(out["doc_id"], pa.string()),
-            "span_id": pa.array(out["span_id"], pa.string()),
-            "media_ref": pa.array(out["media_ref"], pa.string()),
-            "features": pa.array(out["features"], pa.string()),
-            "pixels": pa.array(out["pixels"], pa.large_binary()),
-        }
-        if carry_text:
-            cols["text"] = pa.array([s or "" for s in texts], pa.string())
-        return pa.table(cols)
 
-    return ds.map_batches(render, batch_format="pyarrow")
+def synth_pages(sf_dir: str, *, n_blocks: int | None = None, carry_text: bool = False):
+    """documents → a Dataset of page-image media rows (``render_pages``
+    over ``_text_rows``).
+
+    ``run_ocr_chain`` does not call this: it renders inside its OCR task,
+    so no page media leaves that task. perfbench's traced replay calls
+    it to time the render on its own."""
+    from functools import partial
+
+    return _text_rows(sf_dir, n_blocks).map_batches(
+        partial(render_pages, carry_text=carry_text), batch_format="pyarrow"
+    )
 
 
 def rebalance_pages(pages, *, n_partitions: int | None = None, threshold: float = 1.25):
@@ -123,6 +145,10 @@ def rebalance_pages(pages, *, n_partitions: int | None = None, threshold: float 
     per-partition byte distribution: {"parts", "max_mb", "mean_mb",
     "spread", "rebalanced"} — spread = max/mean partition bytes
     (1.0 = perfect).
+
+    ``run_ocr_chain`` does not call this: it renders each page inside
+    its OCR task, so it has no media block to rebalance. perfbench's
+    traced replay calls it over ``synth_pages``.
     """
     import ray
     from ray.data.aggregate import Sum
@@ -286,7 +312,7 @@ class DualChannelOCR:
     under the cost of one page), so the chain builds one per batch
     inside a plain task (``_ocr_wide_batch``)."""
 
-    def __init__(self, *, emit_wide: bool = True, sidecar_root: str | None = None):
+    def __init__(self, *, emit_wide: bool = True):
         from ..stages.recognize import Recognizer
 
         if emit_wide is not True:
@@ -294,22 +320,6 @@ class DualChannelOCR:
         # text_only: the chain consumes line TEXT only — word/glyph
         # polygon assembly is per-char Python dict churn it never reads
         self.rec = Recognizer(text_only=True)
-        self.sidecar_root = sidecar_root
-
-    def _hydrate(self, batch: pa.Table) -> pa.Table:
-        """Sidecar mode: the page rows arrive pixel-less (media_ref
-        only); fetch the payloads HERE — after every exchange — with
-        per-batch ref dedup. Inline mode is a no-op."""
-        if self.sidecar_root is None or "pixels" in batch.column_names:
-            return batch
-        from ..state.mediastore import _store_for
-
-        store = _store_for(self.sidecar_root)
-        refs = batch["media_ref"].to_pylist()
-        blobs = store.get_many(refs)
-        return batch.append_column(
-            "pixels", pa.array([blobs[r] for r in refs], pa.large_binary())
-        )
 
     def _channel_lines(self, batch: pa.Table):
         """Run every engine channel over the (media-only) page batch;
@@ -325,15 +335,14 @@ class DualChannelOCR:
             yield source, self.rec(t)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Zero-shuffle wide path: the page row carries its source text
-        (synth_pages carry_text=True), the GT lines derive from it with
-        the SAME page_lines layout that rendered the page, and both OCR
+        """Page rows (``render_pages(carry_text=True)``) → the wide line
+        frame. The GT lines derive from the page row's text with the
+        SAME page_lines layout that rendered the page, and both OCR
         channels run in this call — so the (doc_id, line_no) join of
         the sources is a page-LOCAL dict merge here. Emits one row per
         (doc_id, line_no) with one text column per source: the union of
         GT and recognized line numbers, absent cells "".
         """
-        batch = self._hydrate(batch)
         doc_ids = batch["doc_id"].to_pylist()
         texts = batch["text"].to_pylist()
         media = batch.drop_columns(["text"])
@@ -371,196 +380,130 @@ class DualChannelOCR:
         )
 
 
-def _ocr_wide_batch(batch: pa.Table, *, sidecar_root: str | None) -> pa.Table:
-    """Task form of the fused OCR stage (``DualChannelOCR``)."""
-    return DualChannelOCR(sidecar_root=sidecar_root)(batch)
+def _ocr_wide_batch(batch: pa.Table) -> pa.Table:
+    """The chain's OCR task: (doc_id, text) rows → rendered pages → the
+    wide line frame (``DualChannelOCR``). The page media lives and dies
+    in this task."""
+    return DualChannelOCR()(render_pages(batch, carry_text=True))
 
 
 _cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
 
+# (stage, source) of each CER column of ``_chain_cer_partials``
+_CER_STAGES = {
+    "OCR-1": ("raw", "OCR-1"),
+    "OCR-2": ("raw", "OCR-2"),
+    "corrected": ("postcorrected", "OCR-2"),
+}
 
-def run_ocr_chain(
-    sf_dir: str,
-    *,
-    out_dir: str | None = None,
-    media_sidecar: str | None = None,
-):
+
+def _chain_cer_partials(t: pa.Table) -> pa.Table:
+    """CER partials of corrected line rows (``correct_lines`` output):
+    raw OCR-1 (the peer), raw OCR-2 and corrected OCR-2, each against GT."""
+    wide = pa.table(
+        {"OCR-1": t["peer_text"], "OCR-2": t["text"], "corrected": t["corrected_text"], "GT": t["GT"]}
+    )
+    return cer_partials_wide(wide, pairs=[(c, "GT") for c in _CER_STAGES])
+
+
+def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     """Full chain; returns a summary frame
     (stage, source, char_errors, gt_chars, char_error_rate) with one
     'raw' row per OCR source and one 'postcorrected' row for OCR-2
     (the noisier engine — the reference corrects the aligned master).
 
-    ``media_sidecar``: root of a content-addressed sidecar store
-    (state/mediastore.py). When set, the rendered pixels are
-    externalized right after the render — page rows carry only the
-    ``cas://`` ref, so the materialize and any rebalance exchange move
-    O(refs) rows — and the OCR task hydrates them lazily per batch.
-    The default (None) keeps inline payloads: on this corpus the media
-    is written + read exactly once either way, so inline avoids the
-    extra blob round-trip; sidecar wins as soon as more than one stage
-    or run consumes the same media, or an exchange would move it.
+    Five Dataset executions, and the only exchange is the Repartition of
+    the (doc_id, text) rows:
 
-    Shuffle budget: ZERO media-or-line exchanges. The page row carries
-    its GT text, both OCR channels run fused per task, and the wide
-    (doc_id, line_no) frame is assembled page-locally inside the OCR
-    task (DualChannelOCR). CER, confusion learning, ranker
-    training and line correction all run row-locally over the
-    materialized wide frame. (The gated rebalance pays one media
-    exchange ONLY when the realized block-byte spread exceeds its
-    threshold.)
+    1. lexicon: per-batch token counts, summed on the driver
+       (``textops.token_frequencies``);
+    2. pages → wide frame: one task per ``OCR_BATCH_PAGES`` pages renders
+       them and runs both OCR channels (``_ocr_wide_batch``), and the
+       (doc_id, line_no, OCR-1, OCR-2, GT) frame is materialized;
+    3. confusions learned from OCR-2-vs-GT pairs;
+    4. ranker examples;
+    5. line correction and every CER partial (raw OCR-1, raw OCR-2,
+       corrected OCR-2) in one pass, summed by one ``cer_reduce``.
 
-    Execution: every stage is a plain Ray Data task on the session's
-    warm workers — OCR builds its (cheap) DualChannelOCR per batch,
-    correction rebuilds its LineCorrector at most once per worker
-    (``postcorrect.correct_lines``). No actor pool: the chain starts no
-    processes per run and finishes on a 1-CPU session.
+    Passes 3-5 read the wide frame in bundles of at least
+    ``WIDE_BUNDLE_LINES`` lines. With ``out_dir``, the corrected lines
+    are materialized and written as a resumable stage output first.
+
+    Every stage is a plain Ray Data task on the session's warm workers:
+    OCR builds its (cheap) DualChannelOCR per batch, correction rebuilds
+    its LineCorrector at most once per worker (``postcorrect.correct_lines``).
+    No actor pool: the chain starts no processes per run and finishes on
+    a 1-CPU session.
     """
-    from functools import partial
-
-    # lexicon from the corpus vocabulary (the reference's language
-    # dict), built distributed + top-V truncated — never a full-corpus
-    # driver scan (textops.token_frequencies). Kicked off in a driver
-    # THREAD so its (text-only) Dataset job overlaps the media-heavy
-    # OCR phase — the two jobs share the Ray scheduler, the result is
-    # order-independent. The overlap pays even with task-only stages:
-    # run one after the other (96 pages, 2 Ray CPUs on a 1-vCPU VM),
-    # the chain took ~14 % more CPU and ~0.5 s more wall time.
-    from concurrent.futures import ThreadPoolExecutor
-
     import ray.data as rd
 
+    from ..stages.postcorrect import correct_lines, learn_confusions, train_ranker
     from ..stages.textops import token_frequencies
 
-    # build the Dataset on the MAIN thread (read_parquet's lazy fsspec
-    # import is not thread-safe in Ray 2.49); only the execution runs in
-    # the worker thread
-    _docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    _threads = ThreadPoolExecutor(max_workers=2)
-    try:
-        lex_future = _threads.submit(lambda: token_frequencies(_docs, top_v=200_000).to_dict())
+    # lexicon from the corpus vocabulary (the reference's language
+    # dict), top-V truncated
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    lexicon = token_frequencies(docs, top_v=200_000).to_dict()
+    wide = (
+        _text_rows(sf_dir)
+        .map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=OCR_BATCH_PAGES)
+        .materialize()
+    )
 
-        # render pages ONCE and share across engine channels (pages are the
-        # expensive media payload; the object store holds them for both);
-        # the rebalance re-partitions by byte-weighted doc_id ranges so the
-        # fan-out sees equal-byte blocks even under media-size skew
-        pages = synth_pages(sf_dir, carry_text=True)
-        if media_sidecar is not None:
-            from ..state.mediastore import externalize_media
+    def wide_pass(project):
+        return wide.map_batches(project, batch_format="pyarrow", batch_size=WIDE_BUNDLE_LINES)
 
-            pages = externalize_media(pages, media_sidecar)
-        pages, _ = rebalance_pages(pages)
-        # ZERO-shuffle wide frame: the page row carries its GT text, both
-        # OCR channels run fused in one task, and the (doc_id, line_no)
-        # source join happens page-locally inside it, so the chain pays no
-        # bucketed pivot of long-form variant lines (~7 s of pure exchange
-        # at sf0.1/32cpus: the pivot compute is negligible, the all-to-all
-        # is not).
-        wide = pages.map_batches(
-            partial(_ocr_wide_batch, sidecar_root=media_sidecar),
-            batch_format="pyarrow",
-            batch_size=8,
-        ).materialize()
+    def to_pairs(t: pa.Table) -> pa.Table:
+        return pa.table({"text": t["OCR-2"], "gt_text": t["GT"]})
 
-        # raw CER over the (materialized) wide frame runs in a thread too:
-        # it has no dependency on the correction path and overlaps the
-        # confusion/ranker training jobs below
-        cer_raw_future = _threads.submit(
-            lambda: cer_reduce(
-                wide.map_batches(
-                    partial(cer_partials_wide, pairs=[("OCR-1", "GT"), ("OCR-2", "GT")]),
-                    batch_format="pyarrow",
-                )
-            ).assign(stage="raw")
+    def to_train(t: pa.Table) -> pa.Table:
+        return pa.table({"text": t["OCR-2"], "peer_text": t["OCR-1"], "gt_text": t["GT"]})
+
+    def to_correct(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"doc_id": t["doc_id"], "line_no": t["line_no"], "text": t["OCR-2"],
+             "peer_text": t["OCR-1"], "GT": t["GT"]}
         )
 
-        lexicon = lex_future.result()
+    # channel model learned from OCR-2-vs-GT pairs; a deterministic 25 %
+    # content-hash sample bounds the O(len²) edit alignments and is
+    # independent of the block layout (the model is a rate estimate)
+    confusions = learn_confusions(wide_pass(to_pairs), sample_rate=0.25)
 
-        # channel model learned from OCR-2-vs-GT pairs — row-local over
-        # wide, SAMPLE-BOUND: the confusion estimate saturates after a few
-        # thousand aligned pairs, so cap the O(len²) edit alignments at 64
-        # differing lines per batch instead of paying one per corpus line
-        from ..stages.postcorrect import correct_lines, learn_confusions, train_ranker
+    # learned re-ranker + decision maker over candidate features
+    # (rank/distance/frequency/peer agreement — the reference's
+    # profiler-free rrFeatures/dmFeatures subset, data/config.json:
+    # 15-215) trained on every GT'd line; train_ranker's model-selection
+    # gate falls back to the fixed vote unless the learned decision
+    # beats it on the training sample
+    ranker = train_ranker(wide_pass(to_train), lexicon, confusions, sample_rate=1.0)
 
-        def to_pairs(t: pa.Table) -> pa.Table:
-            return pa.table({"text": t["OCR-2"], "gt_text": t["GT"]})
+    # line-level correction as tasks (cursor matcher + nOCR peer vote
+    # per token; no token-level shuffle)
+    fixed = correct_lines(wide_pass(to_correct), lexicon, confusions, ranker=ranker)
 
-        # deterministic 25% content-hash sample: layout-invariant (rerun ==
-        # rerun, any block layout), bounded alignment cost; the channel
-        # model is a rate estimate, so subsampling is consistent.
-        confusions = learn_confusions(
-            wide.map_batches(to_pairs, batch_format="pyarrow"), sample_rate=0.25
+    write_stats = None
+    if out_dir is not None:
+        # the corrected corpus is a STAGE OUTPUT (north_rule: every
+        # stage per-partition manifested); materialize the text-only
+        # lines once so the sink and the CER reduce share one
+        # execution of the correction stage
+        from ..state.manifest import path_fingerprint, write_resumable
+
+        fixed = fixed.materialize()
+        write_stats = write_resumable(
+            fixed,
+            out_dir,
+            key="doc_id",
+            stage="postcorrect",
+            input_fingerprint=path_fingerprint(f"{sf_dir}/documents.parquet"),
         )
 
-        # learned re-ranker + decision maker over candidate features
-        # (rank/distance/frequency/peer agreement — the reference's
-        # profiler-free rrFeatures/dmFeatures subset, data/config.json:
-        # 15-215) trained on GT'd lines; train_ranker's model-selection
-        # gate falls back to the fixed vote unless the learned decision
-        # beats it on the training sample
-        def to_train(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"text": t["OCR-2"], "peer_text": t["OCR-1"], "gt_text": t["GT"]}
-            )
-
-        # full-corpus examples: the per-worker triple cache makes extraction
-        # scale with DISTINCT (token, peer, gt) triples, not line count, and
-        # marginal hard examples are exactly what the decision maker needs
-        ranker = train_ranker(
-            wide.map_batches(to_train, batch_format="pyarrow"),
-            lexicon,
-            confusions,
-            sample_rate=1.0,
-        )
-
-        # line-level correction as tasks (cursor matcher + nOCR peer vote
-        # per token; no token-level shuffle)
-        def to_correct(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"doc_id": t["doc_id"], "line_no": t["line_no"], "text": t["OCR-2"],
-                 "peer_text": t["OCR-1"], "GT": t["GT"]}
-            )
-
-        fixed = correct_lines(
-            wide.map_batches(to_correct, batch_format="pyarrow"), lexicon, confusions, ranker=ranker
-        )
-
-        write_stats = None
-        if out_dir is not None:
-            # the corrected corpus is a STAGE OUTPUT (north_rule: every
-            # stage per-partition manifested); materialize the text-only
-            # lines once so the sink and the CER reduce share one
-            # execution of the correction stage
-            from ..state.manifest import path_fingerprint, write_resumable
-
-            fixed = fixed.materialize()
-            write_stats = write_resumable(
-                fixed,
-                out_dir,
-                key="doc_id",
-                stage="postcorrect",
-                input_fingerprint=path_fingerprint(f"{sf_dir}/documents.parquet"),
-            )
-
-        def fixed_wide(t: pa.Table) -> pa.Table:
-            return pa.table({"OCR-2": t["corrected_text"], "GT": t["GT"]})
-
-        cer_fixed = cer_reduce(
-            fixed.map_batches(fixed_wide, batch_format="pyarrow").map_batches(
-                partial(cer_partials_wide, pairs=[("OCR-2", "GT")]), batch_format="pyarrow"
-            )
-        ).assign(stage="postcorrected")
-
-        cer_raw = cer_raw_future.result()
-    finally:
-        # on a raising stage, cancel PENDING futures and drop the
-        # executor so nothing new starts; an already-RUNNING Dataset
-        # job cannot be cancelled and drains in the background — its
-        # thread exits with the job, but a retry launched immediately
-        # after the exception may briefly share the scheduler with it
-        _threads.shutdown(wait=False, cancel_futures=True)
-    out = pd.concat([cer_raw, cer_fixed], ignore_index=True)[
-        ["stage", "source", "char_errors", "gt_chars", "char_error_rate"]
-    ]
+    out = cer_reduce(fixed.map_batches(_chain_cer_partials, batch_format="pyarrow"))
+    stage_source = [_CER_STAGES[c] for c in out["source"]]
+    out["stage"] = [stage for stage, _ in stage_source]
+    out["source"] = [source for _, source in stage_source]
+    out = out[["stage", "source", "char_errors", "gt_chars", "char_error_rate"]]
     if write_stats is not None:
         out.attrs["write"] = write_stats
     return out

@@ -8,10 +8,10 @@ table, which is vocabulary-sized, not corpus-sized. This module keeps
 exactly that split:
 
 - ``train_bpe``: word frequencies via the repo's distributed
-  map-side-combined bucketed aggregate with top-V truncation
-  (``textops.token_frequencies`` — driver memory O(blocks×V) at any
-  corpus scale), then the classic greedy merge loop over the ≤V-row
-  table. Deterministic: ties break (count desc, pair lexicographic).
+  map-side-combined token count with top-V truncation
+  (``textops.token_frequencies``: a driver-side sum of the per-batch
+  partials, or a bucketed aggregate past its size gate), then the
+  classic greedy merge loop over the ≤V-row table. Deterministic: ties break (count desc, pair lexicographic).
 - ``BPEEncoder``: an actor-pool ``map_batches`` stage — the merge
   ranks load once per actor in ``__init__``, and a word→tokens memo
   grows across batches (Zipf makes the hit rate ~1 after warmup);

@@ -566,7 +566,6 @@ def train_ranker(
         partial(_stage_batch, cls=RankerExampleUDF, state_ref=state_ref),
         batch_format="pyarrow",
         batch_size=512,
-        num_cpus=0.5,
     ).to_pandas()
     if len(ex) < min_examples:
         return None

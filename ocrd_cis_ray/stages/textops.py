@@ -274,57 +274,57 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
 # the post-correction lexicon, and the OCR chain's language dict)
 
 
-def _token_count_partials(t: pa.Table, *, col: str) -> pd.DataFrame:
+def _token_count_partials(t: pa.Table, *, col: str) -> pa.Table:
     texts = t[col].to_pylist()
     toks = [w for txt in texts for w in (txt or "").split(" ")]
-    vc = pd.Series(toks).value_counts()
-    return pd.DataFrame({"w": vc.index, "c": vc.to_numpy()})
+    vc = pd.Series(toks, dtype=object).value_counts()
+    return pa.table({"w": pa.array(vc.index.to_list(), pa.string()), "c": pa.array(vc.to_numpy(), pa.int64())})
 
 
-def token_frequencies(ds, *, col: str = "text", top_v: int | None = None,
-                      num_buckets: int | None = None) -> pd.Series:
+def _top_tokens(freq: pd.DataFrame, top_v: int | None) -> pd.DataFrame:
+    """(w, c) rows ordered by count desc, then token asc; the first
+    ``top_v`` of them when given."""
+    freq = freq.sort_values(["c", "w"], ascending=[False, True])
+    return freq if top_v is None else freq.head(top_v)
+
+
+def token_frequencies(ds, *, col: str = "text", top_v: int | None = None) -> pd.Series:
     """Distributed corpus token-frequency map → small pd.Series
-    (index = token, value = count), safe to ``ray.put`` and broadcast.
+    (index = token, value = count, ordered by count desc, then token
+    asc), safe to ``ray.put`` and broadcast.
 
-    Pass 1 is the combiner pattern: per-batch vectorized value_counts
-    partials, then ONE bucketed hash aggregate — the exchange moves at
-    most (batches × per-batch vocab) rows, never the token stream.
+    The combiner pattern: per-batch value_counts partials, materialized
+    once. When they hold at most ``metrics.MAX_GROUPS`` rows, which
+    bounds the vocabulary, the driver sums them
+    (``metrics.sum_partials``): no exchange, whose fixed cost dwarfs
+    counting a small vocabulary. Past that size gate, ONE bucketed hash
+    aggregate over the same materialized partials counts the tokens;
+    the exchange moves at most (batches × per-batch vocab) rows, never
+    the token stream.
 
-    ``top_v`` truncates to the V most frequent tokens WITHOUT ever
-    collecting the full vocabulary to the driver: each aggregated
-    block contributes its local top-V candidates (each token lives in
-    exactly one block after the hash aggregate, so the global top-V is
-    a subset of the per-block top-V union), and the driver selects the
-    final V from ≤ blocks×V candidate rows. Driver memory is
-    O(blocks × V), independent of vocabulary size — the 100-TB path.
-    Ties at the boundary break deterministically (count desc, token
-    asc). Tokens outside the map are "rare by definition"; callers
-    treat misses as count 0 (or a floor of their choosing).
+    ``top_v`` truncates to the V most frequent tokens; ties at the
+    boundary break deterministically (count desc, token asc). On the
+    exchange path each aggregated block contributes only its local
+    top-V candidates (each token lives in exactly one block after the
+    hash aggregate, so the global top-V is a subset of their union), so
+    driver memory is O(blocks × V), independent of vocabulary size.
+    Tokens outside the map are "rare by definition"; callers treat
+    misses as count 0 (or a floor of their choosing).
     """
     from functools import partial
 
     from ..shuffle import bucketed_aggregate
+    from . import metrics
 
-    freq_ds = bucketed_aggregate(
-        ds.map_batches(partial(_token_count_partials, col=col), batch_format="pyarrow"),
-        "w",
-        {"c": ("c", "sum")},
-        num_buckets=num_buckets,
-    )
-    if top_v is None:
-        freq = freq_ds.to_pandas()
+    partials = ds.map_batches(partial(_token_count_partials, col=col), batch_format="pyarrow").materialize()
+    if partials.count() <= metrics.MAX_GROUPS:
+        freq = metrics.sum_partials(partials, ["w"], ["c"])
     else:
-        def local_top(df: pd.DataFrame) -> pd.DataFrame:
-            if len(df) <= top_v:
-                return df
-            return df.sort_values(["c", "w"], ascending=[False, True]).head(top_v)
-
-        cand = freq_ds.map_batches(local_top, batch_format="pandas").to_pandas()
-        freq = (
-            cand.sort_values(["c", "w"], ascending=[False, True]).head(top_v)
-            if len(cand) > top_v
-            else cand
-        )
+        freq_ds = bucketed_aggregate(partials, "w", {"c": ("c", "sum")})
+        if top_v is not None:
+            freq_ds = freq_ds.map_batches(partial(_top_tokens, top_v=top_v), batch_format="pandas")
+        freq = freq_ds.to_pandas()
+    freq = _top_tokens(freq, top_v)
     return pd.Series(freq["c"].to_numpy(), index=freq["w"])
 
 

@@ -1,10 +1,9 @@
 """Content-addressed media sidecar (state/mediastore.py): store
-semantics, exchange weight, and OCR-chain parity with inline media."""
+semantics and exchange weight."""
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -138,19 +137,6 @@ def test_registry_stages_compose(tmp_path, ray_session):
     df = out.to_pandas().sort_values("doc_id")
     assert list(df["pixels"]) == [b"p1", b"p2"]
     assert all(r.startswith("cas://") for r in df["media_ref"])
-
-
-def test_ocr_chain_sidecar_parity(ray_session, sf_dir, tmp_path):
-    """The chain over sidecar media produces the EXACT inline result
-    (same CER frame) — media rides as refs through the materialize and
-    hydrates inside the OCR task."""
-    from ocrd_cis_ray.pipelines.ocr_chain import run_ocr_chain
-
-    inline = run_ocr_chain(sf_dir)
-    sidecar = run_ocr_chain(sf_dir, media_sidecar=str(tmp_path / "cas"))
-    a = inline.sort_values(["stage", "source"]).reset_index(drop=True)
-    b = sidecar.sort_values(["stage", "source"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_sweep_reclaims_orphans(tmp_path, ray_session):

@@ -47,6 +47,20 @@ def test_chain_deterministic(ray_session, sf_dir, chain_result):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_chain_runs_five_executions_without_sort(ray_session, sf_dir, chain_result, executed_plans):
+    """The chain makes at most five Dataset executions (lexicon, pages →
+    wide frame, confusions, ranker examples, correction + CER), and its
+    only all-to-all is the Repartition of the text rows: no Sort counts
+    the vocabulary. Same output as the module's first run."""
+    import re
+
+    again = run_ocr_chain(sf_dir)
+    assert 0 < len(executed_plans) <= 5, executed_plans
+    exchanges = [op for plan in executed_plans for op in re.findall(r"AllToAllOperator\[(\w+)\]", plan)]
+    assert exchanges == ["Repartition"], executed_plans
+    pd.testing.assert_frame_equal(chain_result, again)
+
+
 def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
     import json
     import os
