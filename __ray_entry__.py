@@ -537,7 +537,7 @@ def q26_token_freq_quality(sf_dir: str):
 
     Two passes: (1) distributed token frequencies truncated to the
     top-V vocabulary (textops.token_frequencies: per-batch value_counts
-    partials summed on the driver, or past its size gate one bucketed
+    partials summed on the driver, or past MAX_GROUPS distinct tokens one bucketed
     aggregate with per-block top-V candidates; the long tail is 'rare'
     by definition, count 0), broadcast once via ray.put; (2) per-doc scoring with one
     pd merge + segment medians — no float summation, so engine and
@@ -2836,7 +2836,7 @@ def q72_postcorrect(sf_dir: str):
 
     # lexicon = distributed top-V corpus vocabulary (the small side,
     # broadcast once to the correction tasks): per-batch partial counts,
-    # summed on the driver below token_frequencies' size gate
+    # summed on the driver up to metrics.MAX_GROUPS distinct tokens
     lexicon = token_frequencies(ds, top_v=200_000).to_dict()
 
     def explode_corrupt(t: pa.Table) -> pa.Table:

@@ -38,10 +38,11 @@ LINES_PER_PAGE = 6
 WORDS_PER_LINE = 8
 # pages per OCR task batch: one page costs ~15 ms per channel
 OCR_BATCH_PAGES = 8
-# rows per task of the passes over the materialized wide frame
+# most rows per task of the passes over the materialized wide frame
 # (confusions, ranker examples, correction + CER): each task pays a
-# fixed Ray cost that outweighs the work of a few hundred lines, and
-# the three results do not depend on the block layout
+# fixed Ray cost that outweighs the work of a few hundred lines, so a
+# pass takes one bundle per CPU up to this size (``_wide_bundle``); the
+# three results do not depend on the block layout
 WIDE_BUNDLE_LINES = 4096
 
 
@@ -65,12 +66,10 @@ def compose_page(lines: list[str], *, gap: int = 6, pad: int = 12) -> np.ndarray
     return np.vstack(rows)
 
 
-def render_pages(t: pa.Table, *, carry_text: bool = False) -> pa.Table:
+def render_pages(t: pa.Table) -> pa.Table:
     """(doc_id, text) rows → page-image media rows (doc_id, span_id,
-    media_ref, features, pixels[, text]): one page per document, laid
-    out by ``page_lines``.
-
-    ``carry_text=True`` keeps the source text on the page row so the OCR
+    media_ref, features, pixels, text): one page per document, laid out
+    by ``page_lines``. The source text stays on the page row so the OCR
     stage can derive the GT lines page-locally (``DualChannelOCR``)."""
     out = {"doc_id": [], "span_id": [], "media_ref": [], "features": [], "pixels": []}
     texts = t["text"].to_pylist()
@@ -81,51 +80,53 @@ def render_pages(t: pa.Table, *, carry_text: bool = False) -> pa.Table:
         out["media_ref"].append(f"media/{did}/page-0.bin")
         out["features"].append("")
         out["pixels"].append(encode_gray(img))
-    cols = {
-        "doc_id": pa.array(out["doc_id"], pa.string()),
-        "span_id": pa.array(out["span_id"], pa.string()),
-        "media_ref": pa.array(out["media_ref"], pa.string()),
-        "features": pa.array(out["features"], pa.string()),
-        "pixels": pa.array(out["pixels"], pa.large_binary()),
-    }
-    if carry_text:
-        cols["text"] = pa.array([s or "" for s in texts], pa.string())
-    return pa.table(cols)
+    return pa.table(
+        {
+            "doc_id": pa.array(out["doc_id"], pa.string()),
+            "span_id": pa.array(out["span_id"], pa.string()),
+            "media_ref": pa.array(out["media_ref"], pa.string()),
+            "features": pa.array(out["features"], pa.string()),
+            "pixels": pa.array(out["pixels"], pa.large_binary()),
+            "text": pa.array([s or "" for s in texts], pa.string()),
+        }
+    )
 
 
-def _text_rows(sf_dir: str, n_blocks: int | None = None):
+def _session_cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
+def _text_rows(sf_dir: str):
     """(doc_id, text) rows of ``documents.parquet``, repartitioned into
-    ``n_blocks`` blocks.
+    6 blocks per CPU (at least 16).
 
     A single-file parquet read is one task, so without the repartition
     the pages land in a handful of giant blocks and the render and OCR
     tasks downstream are starved of parallelism. The exchange moves
     only the small text rows, never page media."""
-    import ray
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    if n_blocks is None:
-        # 6x CPU: the fused OCR stage is CPU-bound at ~15 ms/page, so
-        # finer blocks cost nothing in overhead but remove the 2-wave
-        # straggler tail on the OCR stage (measured 11.8 s @ 2xCPU ->
-        # 9.9 s @ 6xCPU for the OCR stage at sf0.1/32 cpus)
-        n_blocks = max(16, 6 * int(ray.cluster_resources().get("CPU", 8)))
-    return ds.repartition(n_blocks)
+    # 6x CPU: the fused OCR stage is CPU-bound at ~15 ms/page, so finer
+    # blocks cost nothing in overhead but remove the 2-wave straggler
+    # tail on the OCR stage (measured 11.8 s @ 2xCPU -> 9.9 s @ 6xCPU
+    # for the OCR stage at sf0.1/32 cpus)
+    return ds.repartition(max(16, 6 * _session_cpus()))
 
 
-def synth_pages(sf_dir: str, *, n_blocks: int | None = None, carry_text: bool = False):
+def synth_pages(sf_dir: str, *, carry_text: bool = True):
     """documents → a Dataset of page-image media rows (``render_pages``
     over ``_text_rows``).
 
     ``run_ocr_chain`` does not call this: it renders inside its OCR task,
     so no page media leaves that task. perfbench's traced replay calls
-    it to time the render on its own."""
-    from functools import partial
-
-    return _text_rows(sf_dir, n_blocks).map_batches(
-        partial(render_pages, carry_text=carry_text), batch_format="pyarrow"
-    )
+    it to time the render on its own, and passes ``carry_text=True``;
+    the page rows always carry the text, so any other value raises."""
+    if carry_text is not True:
+        raise ValueError("synth_pages keeps the text column on the page rows (carry_text=True)")
+    return _text_rows(sf_dir).map_batches(render_pages, batch_format="pyarrow")
 
 
 def rebalance_pages(pages, *, n_partitions: int | None = None, threshold: float = 1.25):
@@ -150,13 +151,12 @@ def rebalance_pages(pages, *, n_partitions: int | None = None, threshold: float 
     its OCR task, so it has no media block to rebalance. perfbench's
     traced replay calls it over ``synth_pages``.
     """
-    import ray
     from ray.data.aggregate import Sum
 
     from ..shuffle import weighted_ranges
 
     if n_partitions is None:
-        n_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        n_partitions = max(8, _session_cpus())
 
     pages = pages.materialize()
 
@@ -335,7 +335,7 @@ class DualChannelOCR:
             yield source, self.rec(t)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Page rows (``render_pages(carry_text=True)``) → the wide line
+        """Page rows (``render_pages``) → the wide line
         frame. The GT lines derive from the page row's text with the
         SAME page_lines layout that rendered the page, and both OCR
         channels run in this call — so the (doc_id, line_no) join of
@@ -384,7 +384,7 @@ def _ocr_wide_batch(batch: pa.Table) -> pa.Table:
     """The chain's OCR task: (doc_id, text) rows → rendered pages → the
     wide line frame (``DualChannelOCR``). The page media lives and dies
     in this task."""
-    return DualChannelOCR()(render_pages(batch, carry_text=True))
+    return DualChannelOCR()(render_pages(batch))
 
 
 _cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
@@ -395,6 +395,12 @@ _CER_STAGES = {
     "OCR-2": ("raw", "OCR-2"),
     "corrected": ("postcorrected", "OCR-2"),
 }
+
+
+def _wide_bundle(n_lines: int) -> int:
+    """Rows per task of a pass over ``n_lines`` wide-frame lines: one
+    bundle per CPU, at most ``WIDE_BUNDLE_LINES`` lines each."""
+    return max(1, min(WIDE_BUNDLE_LINES, -(-n_lines // _session_cpus())))
 
 
 def _chain_cer_partials(t: pa.Table) -> pa.Table:
@@ -425,8 +431,8 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     5. line correction and every CER partial (raw OCR-1, raw OCR-2,
        corrected OCR-2) in one pass, summed by one ``cer_reduce``.
 
-    Passes 3-5 read the wide frame in bundles of at least
-    ``WIDE_BUNDLE_LINES`` lines. With ``out_dir``, the corrected lines
+    Passes 3-5 read the wide frame in one bundle per CPU of at most
+    ``WIDE_BUNDLE_LINES`` lines (``_wide_bundle``). With ``out_dir``, the corrected lines
     are materialized and written as a resumable stage output first.
 
     Every stage is a plain Ray Data task on the session's warm workers:
@@ -450,8 +456,10 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
         .materialize()
     )
 
+    bundle = _wide_bundle(wide.count())
+
     def wide_pass(project):
-        return wide.map_batches(project, batch_format="pyarrow", batch_size=WIDE_BUNDLE_LINES)
+        return wide.map_batches(project, batch_format="pyarrow", batch_size=bundle)
 
     def to_pairs(t: pa.Table) -> pa.Table:
         return pa.table({"text": t["OCR-2"], "gt_text": t["GT"]})

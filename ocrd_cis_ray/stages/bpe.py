@@ -10,7 +10,8 @@ exactly that split:
 - ``train_bpe``: word frequencies via the repo's distributed
   map-side-combined token count with top-V truncation
   (``textops.token_frequencies``: a driver-side sum of the per-batch
-  partials, or a bucketed aggregate past its size gate), then the
+  partials, or a bucketed aggregate past ``MAX_GROUPS`` distinct
+  tokens), then the
   classic greedy merge loop over the ≤V-row table. Deterministic: ties break (count desc, pair lexicographic).
 - ``BPEEncoder``: an actor-pool ``map_batches`` stage — the merge
   ranks load once per actor in ``__init__``, and a word→tokens memo

@@ -36,6 +36,10 @@ from ..util import levenshtein, split_words
 # a reduce key with more groups than this is a misuse, not an OOM
 MAX_GROUPS = 1_000_000
 
+
+class TooManyGroups(ValueError):
+    """``sum_partials`` met more than ``MAX_GROUPS`` groups."""
+
 EVAL_COUNTERS = ["n_lines", "gt_chars", "char_errors", "gt_words", "words_recognized"]
 
 
@@ -47,8 +51,8 @@ def sum_partials(partials, keys: list[str], sums: list[str]) -> pd.DataFrame:
     The partials hold a few rows per block, so streaming the blocks to
     the driver (``iter_batches``) replaces a Ray all-to-all, whose fixed
     cost is about 2 s whatever the row count. The driver holds one block
-    and the running sums, and raises before it would hold more than
-    ``MAX_GROUPS`` groups."""
+    and the running sums, and raises ``TooManyGroups`` before it would
+    hold more than ``MAX_GROUPS`` groups."""
     acc: dict[tuple, list[int]] = {}
     # batch_size=None: one batch per block; Ray drops 0-row blocks, which
     # may lack the columns, before they get here
@@ -60,7 +64,7 @@ def sum_partials(partials, keys: list[str], sums: list[str]) -> pd.DataFrame:
             a = acc.get(key)
             if a is None:
                 if len(acc) == MAX_GROUPS:
-                    raise ValueError(f"over {MAX_GROUPS} ({', '.join(keys)}) groups: not a reduce key")
+                    raise TooManyGroups(f"over {MAX_GROUPS} ({', '.join(keys)}) groups: not a reduce key")
                 a = acc[key] = [0] * len(sums)
             for j, col in enumerate(sum_cols):
                 a[j] += col[i]

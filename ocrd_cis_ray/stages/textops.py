@@ -294,13 +294,13 @@ def token_frequencies(ds, *, col: str = "text", top_v: int | None = None) -> pd.
     asc), safe to ``ray.put`` and broadcast.
 
     The combiner pattern: per-batch value_counts partials, materialized
-    once. When they hold at most ``metrics.MAX_GROUPS`` rows, which
-    bounds the vocabulary, the driver sums them
-    (``metrics.sum_partials``): no exchange, whose fixed cost dwarfs
-    counting a small vocabulary. Past that size gate, ONE bucketed hash
-    aggregate over the same materialized partials counts the tokens;
-    the exchange moves at most (batches × per-batch vocab) rows, never
-    the token stream.
+    once and summed on the driver (``metrics.sum_partials``): no
+    exchange, whose fixed cost dwarfs counting a small vocabulary. Only
+    a vocabulary of more than ``metrics.MAX_GROUPS`` distinct tokens,
+    which the driver sum refuses to hold, falls back to ONE bucketed
+    hash aggregate over the same materialized partials; the exchange
+    moves at most (batches × per-batch vocab) rows, never the token
+    stream.
 
     ``top_v`` truncates to the V most frequent tokens; ties at the
     boundary break deterministically (count desc, token asc). On the
@@ -317,9 +317,9 @@ def token_frequencies(ds, *, col: str = "text", top_v: int | None = None) -> pd.
     from . import metrics
 
     partials = ds.map_batches(partial(_token_count_partials, col=col), batch_format="pyarrow").materialize()
-    if partials.count() <= metrics.MAX_GROUPS:
+    try:
         freq = metrics.sum_partials(partials, ["w"], ["c"])
-    else:
+    except metrics.TooManyGroups:
         freq_ds = bucketed_aggregate(partials, "w", {"c": ("c", "sum")})
         if top_v is not None:
             freq_ds = freq_ds.map_batches(partial(_top_tokens, top_v=top_v), batch_format="pandas")

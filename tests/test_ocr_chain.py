@@ -61,6 +61,20 @@ def test_chain_runs_five_executions_without_sort(ray_session, sf_dir, chain_resu
     pd.testing.assert_frame_equal(chain_result, again)
 
 
+def test_wide_passes_take_one_bundle_per_cpu(ray_session):
+    """A pass over the wide frame runs one task per CPU of the session
+    (4 here), up to WIDE_BUNDLE_LINES lines a task."""
+    import ray
+
+    from ocrd_cis_ray.pipelines.ocr_chain import WIDE_BUNDLE_LINES, _wide_bundle
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus > 1
+    assert _wide_bundle(576) == -(-576 // cpus)
+    assert _wide_bundle(cpus * WIDE_BUNDLE_LINES + 1) == WIDE_BUNDLE_LINES
+    assert _wide_bundle(0) == 1
+
+
 def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):
     import json
     import os

@@ -1,6 +1,6 @@
 """``textops.token_frequencies``: the driver sum of the per-batch
-partials and the bucketed exchange behind the ``MAX_GROUPS`` size gate
-give the same Series, in count desc, token asc order."""
+partials and the bucketed exchange it falls back to past ``MAX_GROUPS``
+distinct tokens give the same Series, in count desc, token asc order."""
 
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ def test_exchange_path_matches_driver_sum(ray_session, monkeypatch, executed_pla
     driver = token_frequencies(_texts(), top_v=top_v)
     assert not any("AllToAllOperator" in p for p in executed_plans), executed_plans
     del executed_plans[:]
-    # the partials hold 5 + 5 + 4 rows: a gate below that takes the exchange
-    monkeypatch.setattr(metrics, "MAX_GROUPS", 13)
+    # 6 distinct tokens: a gate below that takes the exchange
+    monkeypatch.setattr(metrics, "MAX_GROUPS", 5)
     exchange = token_frequencies(_texts(), top_v=top_v)
     assert any(re.search(r"AllToAllOperator\[\w+\]", p) for p in executed_plans), executed_plans
     pd.testing.assert_series_equal(driver, exchange)
