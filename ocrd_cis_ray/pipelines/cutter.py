@@ -9,8 +9,8 @@ ocropus_rtrain / `train`.
 Ray-Data-first shape: everything is row-local — each batch renders (or
 receives) page images, segments them, crops/binarizes/resizes the
 lines and pairs them with the page's GT line texts in reading order.
-ZERO shuffles; the only exchange is the initial text repartition for
-parallelism. Output goes through ``write_resumable`` (partitioned
+ZERO shuffles: the read splits the text rows into one block per CPU
+inside the read task. Output goes through ``write_resumable`` (partitioned
 parquet + manifest), so a killed export resumes without recomputing
 finished partitions, and ``train_recognizer`` reads the directory
 directly (columns: pixels, gt_text).
@@ -73,25 +73,19 @@ def cut_training_lines(
     *,
     line_height: int = 48,
     n_partitions: int = 16,
-    n_blocks: int | None = None,
 ) -> dict:
     """Full cutter export over the synthetic corpus: documents →
     rendered pages with their GT line texts → cut_lines_batch →
     resumable partitioned parquet. Returns the manifest stats
-    ({"completed", "skipped", "rows"})."""
-    import ray
-    import ray.data as rd
-
-    from ..state.manifest import path_fingerprint, write_resumable
-    from .ocr_chain import compose_page, page_lines
-
+    ({"completed", "skipped", "rows"}). The documents are read in the
+    OCR chain's page bundles (``ocr_chain._text_bundles``: one block
+    per CPU, split inside the read task, no exchange)."""
     from ..sources.media import encode_gray
+    from ..state.manifest import path_fingerprint, write_resumable
+    from .ocr_chain import _text_bundles, compose_page, page_lines
 
     doc_path = f"{sf_dir}/documents.parquet"
-    docs = rd.read_parquet(doc_path, columns=["doc_id", "text"])
-    if n_blocks is None:
-        n_blocks = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    docs = docs.repartition(n_blocks)
+    docs, _ = _text_bundles(sf_dir)
 
     def render(t: pa.Table) -> pa.Table:
         out = {"doc_id": [], "pixels": [], "gt_lines": []}

@@ -5,10 +5,10 @@ OCR engine recognize → align → profile/post-correct → stats):
     document text
       → page render                                   ┐
       → per-OCR-source degradation (seeded noise;     │ one task per
-        the "two scanners")                           │ pages batch,
-      → preprocessing (binarize → despeckle)          │ both channels
-      → line segmentation (recursive XY cut)          │
-      → line recognition                              │
+        the "two scanners")                           │ CPU over a
+      → preprocessing (binarize → despeckle)          │ (pages, h, w)
+      → line segmentation (recursive XY cut)          │ stack, both
+      → line recognition                              │ channels
       → n-way join of OCR sources + GT (page-local)   ┘
       → channel model (confusions) and ranker training
       → post-correction of the worst source           [tasks, per-worker state]
@@ -16,12 +16,13 @@ OCR engine recognize → align → profile/post-correct → stats):
 
 The render runs inside the OCR task, so page media never leaves it:
 the rows that cross the object store are (doc_id, text) rows in and
-text lines out. ``run_ocr_chain`` makes five Dataset executions and its
-only exchange is the Repartition of the (doc_id, text) rows. Every
-stage runs as plain Ray Data tasks on the session's warm workers: the
-chain starts no processes per run, and no stage holds a CPU that the
-tasks downstream of it need. GT lines are derived from the same
-deterministic page layout, so CER-before/after has exact goldens.
+text lines out. ``run_ocr_chain`` makes five Dataset executions and no
+exchange: the read splits the (doc_id, text) rows into one block per
+CPU inside the read task. Every stage runs as plain Ray Data tasks on
+the session's warm workers: the chain starts no processes per run,
+and no stage holds a CPU that the tasks downstream of it need. GT
+lines are derived from the same deterministic page layout, so
+CER-before/after has exact goldens.
 """
 
 from __future__ import annotations
@@ -35,14 +36,17 @@ from ..stages.metrics import cer_partials_wide, cer_reduce
 from ..util import stable_hash64
 
 LINES_PER_PAGE = 6
+DEGRADE_SEED = 42
 WORDS_PER_LINE = 8
-# pages per OCR task batch: one page costs ~15 ms per channel
-OCR_BATCH_PAGES = 8
-# most rows per task of the passes over the materialized wide frame
-# (confusions, ranker examples, correction + CER): each task pays a
-# fixed Ray cost that outweighs the work of a few hundred lines, so a
-# pass takes one bundle per CPU up to this size (``_wide_bundle``); the
-# three results do not depend on the block layout
+# Each task pays a fixed Ray cost that outweighs the work of a few
+# hundred lines or a few pages, so the OCR execution and the passes over
+# the materialized wide frame (confusions, ranker examples, correction
+# + CER) each take one bundle per CPU (``_bundle``), capped below; no
+# result depends on the block layout.
+# most pages per OCR task: a channel holds a (pages, h, w) uint8 stack,
+# about 100 KB a page, plus a few stack-sized temporaries
+OCR_BATCH_PAGES = 64
+# most wide-frame lines per task of a pass over the wide frame
 WIDE_BUNDLE_LINES = 4096
 
 
@@ -70,7 +74,9 @@ def render_pages(t: pa.Table) -> pa.Table:
     """(doc_id, text) rows → page-image media rows (doc_id, span_id,
     media_ref, features, pixels, text): one page per document, laid out
     by ``page_lines``. The source text stays on the page row so the OCR
-    stage can derive the GT lines page-locally (``DualChannelOCR``)."""
+    stage can derive the GT lines page-locally (``DualChannelOCR``).
+    Only perfbench's traced replay renders page rows (``synth_pages``):
+    the chain's OCR task renders its pages straight into the page stack."""
     out = {"doc_id": [], "span_id": [], "media_ref": [], "features": [], "pixels": []}
     texts = t["text"].to_pylist()
     for did, text in zip(t["doc_id"].to_pylist(), texts):
@@ -98,21 +104,42 @@ def _session_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8))
 
 
+def _bundle(n_rows: int, cap: int) -> int:
+    """Rows per task of a pass over ``n_rows`` rows: one bundle per CPU,
+    at most ``cap`` rows each."""
+    return max(1, min(cap, -(-n_rows // _session_cpus())))
+
+
+def _text_bundles(sf_dir: str):
+    """(doc_id, text) rows of ``documents.parquet`` in page bundles;
+    returns (dataset, batch size).
+
+    The read asks for one block per bundle (``_bundle`` with cap
+    ``OCR_BATCH_PAGES``), so Ray splits the rows inside the read task
+    and no exchange runs. The testdata files hold one row group each,
+    so the reader alone cannot spread them over tasks. The split makes
+    blocks of ``n // k`` and ``n // k + 1`` rows; batches of ``n // k``
+    rows keep Ray from merging two short blocks into one task."""
+    import pyarrow.dataset as pds
+    import ray.data as rd
+
+    path = f"{sf_dir}/documents.parquet"
+    n = pds.dataset(path, format="parquet").count_rows()
+    k = max(1, -(-n // _bundle(n, OCR_BATCH_PAGES)))
+    ds = rd.read_parquet(path, columns=["doc_id", "text"], override_num_blocks=k)
+    return ds, max(1, n // k)
+
+
 def _text_rows(sf_dir: str):
     """(doc_id, text) rows of ``documents.parquet``, repartitioned into
-    6 blocks per CPU (at least 16).
+    6 blocks per CPU (at least 16), for ``synth_pages``.
 
-    A single-file parquet read is one task, so without the repartition
-    the pages land in a handful of giant blocks and the render and OCR
-    tasks downstream are starved of parallelism. The exchange moves
-    only the small text rows, never page media."""
+    Only perfbench's traced replay reaches this (through
+    ``synth_pages``); the chain and the cutter read through
+    ``_text_bundles``, which needs no exchange."""
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    # 6x CPU: the fused OCR stage is CPU-bound at ~15 ms/page, so finer
-    # blocks cost nothing in overhead but remove the 2-wave straggler
-    # tail on the OCR stage (measured 11.8 s @ 2xCPU -> 9.9 s @ 6xCPU
-    # for the OCR stage at sf0.1/32 cpus)
     return ds.repartition(max(16, 6 * _session_cpus()))
 
 
@@ -236,59 +263,82 @@ def _drop_part_cols(t: pa.Table) -> pa.Table:
     return t.drop_columns(["__part", "media_bytes"])
 
 
-def degrade_batch(t: pa.Table, *, source: str, noise: int, erode: float, seed: int = 42) -> pa.Table:
-    """Seeded per-(doc, source) degradation — the scanner/engine variance
-    each OCR file group carries in the reference: salt specks in the
-    background plus stroke erosion (random ink pixels dropped at rate
-    ``erode``), which is what actually flips glyph classifications."""
+def degrade_stack(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray, doc_ids: list[str], source: str, noise: int, erode: float, seed: int) -> np.ndarray:
+    """Seeded per-(doc, source) degradation of a white-padded uint8 page
+    stack — the scanner/engine variance each OCR file group carries in
+    the reference: stroke erosion (random ink pixels dropped at rate
+    ``erode``), which is what actually flips glyph classifications,
+    plus ``noise`` salt specks in the background.
+
+    Each page draws from its own ``default_rng`` stream, seeded by its
+    doc_id and ``source``, in the order a page alone would: one uniform
+    per ink pixel (row-major), then 8x``noise`` candidate speck rows and
+    columns inside the page's own bounds. A candidate whose 3x3
+    neighbourhood is white after erosion is placed unless an earlier
+    placed speck lies within Chebyshev distance 1 (a placed speck
+    blackens its cell); each page keeps its first ``noise`` placements.
+    A dense page may lack ``noise`` isolated white sites; the bounded
+    draw gives up instead of spinning."""
+    out = stack.copy()
+    n_pages, height, width = out.shape
+    rngs = [np.random.default_rng((stable_hash64(f"{did}/{source}") ^ seed) & 0xFFFFFFFF) for did in doc_ids]
+    if erode > 0:
+        # row-major: page by page, each page's ink in its own order
+        ink = np.flatnonzero(out < 128)
+        per_page = np.diff(np.searchsorted(ink, np.arange(n_pages + 1) * (height * width)))
+        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, per_page.tolist())] or [np.zeros(0)])
+        out.reshape(-1)[ink[u < erode]] = 255
+        del ink, u  # stack-sized: free them before the speck pass
+    if noise <= 0 or n_pages == 0:
+        return out
+    k = 8 * noise
+    ys = np.stack([rng.integers(1, h - 1, size=k) for rng, h in zip(rngs, hs.tolist())]).ravel()
+    xs = np.stack([rng.integers(1, w - 1, size=k) for rng, w in zip(rngs, ws.tolist())]).ravel()
+    page = np.repeat(np.arange(n_pages), k)
+    ok = np.ones(len(page), dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            ok &= out[page, ys + dy, xs + dx] == 255
+    page, ys, xs = page[ok], ys[ok], xs[ok]
+    # a candidate with no other candidate within distance 1 is placed;
+    # only the few that have one run the sequential rule
+    key = (page * height + ys) * width + xs
+    offsets = [dy * width + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    sort = np.argsort(key, kind="stable")
+    order = key[sort]
+    near = np.zeros(len(key), np.int64)
+    for dy in (-1, 0, 1):
+        near[sort] += np.searchsorted(order, order + dy * width + 1, "right") - np.searchsorted(
+            order, order + dy * width - 1, "left"
+        )
+    placed = near == 1  # only itself
+    occupied: set[int] = set()
+    for i in np.flatnonzero(~placed).tolist():
+        c = int(key[i])
+        if not any(c + off in occupied for off in offsets):
+            occupied.add(c)
+            placed[i] = True
+    # each page's first `noise` placements
+    rank = np.cumsum(placed)
+    page_start = np.searchsorted(page, np.arange(n_pages))
+    before = np.concatenate([[0], rank])[page_start][page]
+    keep = placed & (rank - before <= noise)
+    out[page[keep], ys[keep], xs[keep]] = 0
+    return out
+
+
+def degrade_batch(t: pa.Table, *, source: str, noise: int, erode: float, seed: int = DEGRADE_SEED) -> pa.Table:
+    """``degrade_stack`` over the page rows of ``t`` (raw-gray ``pixels``)."""
     from ..sources.media import decode_gray
+    from ..stages.image_ops import stack_pages
 
-    out = []
-    for did, buf in zip(t["doc_id"].to_pylist(), t["pixels"].to_pylist()):
-        img = decode_gray(buf).copy()
-        rng = np.random.default_rng((stable_hash64(f"{did}/{source}") ^ seed) & 0xFFFFFFFF)
-        h, w = img.shape
-        if erode > 0:
-            ys, xs = np.nonzero(img < 128)
-            drop = rng.random(len(ys)) < erode
-            img[ys[drop], xs[drop]] = 255
-        if noise > 0:
-            # vectorized speck placement: batch-draw candidate
-            # coordinates, test all 3x3 neighbourhoods with nine
-            # shifted-AND lookups at once, then greedily accept the
-            # first `noise` non-conflicting sites (a placed speck
-            # blackens its cell, so later candidates within
-            # Chebyshev distance 1 must be skipped — the sequential
-            # loop's semantics at vector cost). A dense page may
-            # lack `noise` isolated white sites; the bounded draw
-            # (8x oversample) gives up instead of spinning.
-            k = 8 * noise
-            ys = rng.integers(1, h - 1, size=k)
-            xs = rng.integers(1, w - 1, size=k)
-            white = img == 255
-            ok = np.ones(k, dtype=bool)
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    ok &= white[ys + dy, xs + dx]
-            placed = 0
-            occupied: set[tuple[int, int]] = set()
-            for y, x in zip(ys[ok].tolist(), xs[ok].tolist()):
-                if placed >= noise:
-                    break
-                if any(
-                    (y + dy, x + dx) in occupied
-                    for dy in (-1, 0, 1)
-                    for dx in (-1, 0, 1)
-                ):
-                    continue
-                img[y, x] = 0
-                occupied.add((y, x))
-                placed += 1
-        out.append(encode_gray(img))
+    stack, hs, ws = stack_pages([decode_gray(b) for b in t["pixels"].to_pylist()])
+    stack = degrade_stack(stack, hs, ws, t["doc_id"].to_pylist(), source, noise, erode, seed)
     cols = {n: t[n] for n in t.column_names}
-    cols["pixels"] = pa.array(out, pa.large_binary())
+    cols["pixels"] = pa.array(
+        [encode_gray(p[:h, :w]) for p, h, w in zip(stack, hs.tolist(), ws.tolist())], pa.large_binary()
+    )
     return pa.table(cols)
-
 
 
 _CHANNEL_CONFIGS = (
@@ -298,93 +348,102 @@ _CHANNEL_CONFIGS = (
 )
 
 
-class DualChannelOCR:
-    """Fused OCR channels: one call runs degrade -> binarize -> denoise
-    -> segment -> recognize for BOTH engine configs per pages batch.
+def _channel_lines(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray, doc_ids: list[str], source: str, noise: int, erode: float) -> list[list[str]]:
+    """One OCR channel over a white-padded page stack: degrade →
+    binarize → despeckle → segment → recognize, stack passes with no
+    codec between them; returns each page's line texts in reading
+    order. Every line of the batch is matched against the glyph
+    templates in one matmul (``recognize.match_lines``)."""
+    from ..stages.image_ops import binarize_stack, despeckle_stack
+    from ..stages.recognize import match_lines, template_bank
+    from ..stages.segment import segment_stack
 
-    Why fused: the split pipeline ran two recognizer stages plus four
-    task stages per channel, with every intermediate media table
-    crossing the object store. Per-batch fusion keeps the degraded
-    page, the binarized page and the line crops in task-local memory —
-    the only rows that leave the stage are the final TEXT lines
-    (tuple-weight, not media-weight). The recognition state (template
-    bank) is shared by both channels. A build is cheap (well
-    under the cost of one page), so the chain builds one per batch
-    inside a plain task (``_ocr_wide_batch``)."""
+    s = degrade_stack(stack, hs, ws, doc_ids, source, noise, erode, DEGRADE_SEED)
+    s = binarize_stack(s, hs, ws)
+    s, _ = despeckle_stack(s)
+    boxes = segment_stack(s, hs, ws)
+    crops = [s[p, y0:y1, x0:x1] for p, page_boxes in enumerate(boxes) for y0, y1, x0, x1 in page_boxes]
+    texts = iter([text for text, _, _ in match_lines(crops, *template_bank())])
+    return [[next(texts) for _ in page_boxes] for page_boxes in boxes]
+
+
+def ocr_pages(doc_ids: list[str], texts: list, stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> pa.Table:
+    """Both OCR channels (``_channel_lines``) over a white-padded stack
+    of rendered pages (``image_ops.stack_pages``) → the wide line frame
+    (doc_id, line_no, OCR-1, OCR-2, GT).
+
+    The GT lines derive from the page's text with the SAME
+    ``page_lines`` layout that rendered it, so the (doc_id, line_no)
+    join of the sources is a page-LOCAL dict merge. One row per
+    (doc_id, line_no): the union of GT and recognized line numbers,
+    absent cells ""."""
+    srcs = [c[0] for c in _CHANNEL_CONFIGS]
+    chan_maps: dict[str, dict[str, dict[int, str]]] = {s: {} for s in srcs}
+    if len(stack):
+        for source, noise, erode in _CHANNEL_CONFIGS:
+            per_doc = chan_maps[source]
+            for did, lines in zip(doc_ids, _channel_lines(stack, hs, ws, doc_ids, source, noise, erode)):
+                per_doc.setdefault(did, {}).update(enumerate(lines))
+
+    out: dict[str, list] = {"doc_id": [], "line_no": [], **{s: [] for s in srcs}, "GT": []}
+    for did, text in zip(doc_ids, texts):
+        gl = page_lines(text)
+        per_src = [chan_maps[s].get(did, {}) for s in srcs]
+        lns = set(range(len(gl)))
+        for m in per_src:
+            lns.update(m.keys())
+        for ln in sorted(lns):
+            out["doc_id"].append(did)
+            out["line_no"].append(ln)
+            out["GT"].append(gl[ln] if ln < len(gl) else "")
+            for s, m in zip(srcs, per_src):
+                out[s].append(m.get(ln, ""))
+    return pa.table(
+        {
+            "doc_id": pa.array(out["doc_id"], pa.string()),
+            "line_no": pa.array(out["line_no"], pa.int32()),
+            **{s: pa.array(out[s], pa.string()) for s in srcs},
+            "GT": pa.array(out["GT"], pa.string()),
+        }
+    )
+
+
+class DualChannelOCR:
+    """``ocr_pages`` over page rows (``render_pages``: raw-gray
+    ``pixels`` plus the page's ``text``).
+
+    The chain does not use this: its OCR task renders the pages and
+    hands them to ``ocr_pages`` as arrays (``_ocr_wide_batch``).
+    perfbench's traced replay builds one with ``emit_wide=True`` and
+    replaces ``rec`` with a wrapped callable; ``ocr_pages`` recognizes
+    through ``recognize.match_lines`` and never calls ``rec``, so the
+    replay's recognize span stays empty."""
 
     def __init__(self, *, emit_wide: bool = True):
         from ..stages.recognize import Recognizer
 
         if emit_wide is not True:
             raise ValueError("DualChannelOCR emits the wide line frame only (emit_wide=True)")
-        # text_only: the chain consumes line TEXT only — word/glyph
-        # polygon assembly is per-char Python dict churn it never reads
         self.rec = Recognizer(text_only=True)
 
-    def _channel_lines(self, batch: pa.Table):
-        """Run every engine channel over the (media-only) page batch;
-        yields (source, recognizer output table)."""
-        from ..stages.image_ops import _media_stage
-        from ..stages.segment import segment_pages_batch
-
-        for source, noise, erode in _CHANNEL_CONFIGS:
-            t = degrade_batch(batch, source=source, noise=noise, erode=erode)
-            t = _media_stage(t, op="binarize", params={"method": "global"})
-            t = _media_stage(t, op="denoise", params={"minsize": 2})
-            t = segment_pages_batch(t)
-            yield source, self.rec(t)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Page rows (``render_pages``) → the wide line
-        frame. The GT lines derive from the page row's text with the
-        SAME page_lines layout that rendered the page, and both OCR
-        channels run in this call — so the (doc_id, line_no) join of
-        the sources is a page-LOCAL dict merge here. Emits one row per
-        (doc_id, line_no) with one text column per source: the union of
-        GT and recognized line numbers, absent cells "".
-        """
-        doc_ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        media = batch.drop_columns(["text"])
+        from ..sources.media import decode_gray
 
-        chan_maps: dict[str, dict[str, dict[int, str]]] = {}
-        for source, r in self._channel_lines(media):
-            per_doc: dict[str, dict[int, str]] = {}
-            for did, sid, tx in zip(
-                r["doc_id"].to_pylist(), r["span_id"].to_pylist(), r["text"].to_pylist()
-            ):
-                per_doc.setdefault(did, {})[int(sid.rsplit("-", 1)[-1])] = tx
-            chan_maps[source] = per_doc
+        from ..stages.image_ops import stack_pages
 
-        srcs = [c[0] for c in _CHANNEL_CONFIGS]
-        out: dict[str, list] = {"doc_id": [], "line_no": [], **{s: [] for s in srcs}, "GT": []}
-        for did, text in zip(doc_ids, texts):
-            gl = page_lines(text)
-            per_src = [chan_maps[s].get(did, {}) for s in srcs]
-            lns = set(range(len(gl)))
-            for m in per_src:
-                lns.update(m.keys())
-            for ln in sorted(lns):
-                out["doc_id"].append(did)
-                out["line_no"].append(ln)
-                out["GT"].append(gl[ln] if ln < len(gl) else "")
-                for s, m in zip(srcs, per_src):
-                    out[s].append(m.get(ln, ""))
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"], pa.string()),
-                "line_no": pa.array(out["line_no"], pa.int32()),
-                **{s: pa.array(out[s], pa.string()) for s in srcs},
-                "GT": pa.array(out["GT"], pa.string()),
-            }
-        )
+        stack = stack_pages([decode_gray(b) for b in batch["pixels"].to_pylist()])
+        return ocr_pages(batch["doc_id"].to_pylist(), batch["text"].to_pylist(), *stack)
 
 
 def _ocr_wide_batch(batch: pa.Table) -> pa.Table:
     """The chain's OCR task: (doc_id, text) rows → rendered pages → the
-    wide line frame (``DualChannelOCR``). The page media lives and dies
-    in this task."""
-    return DualChannelOCR()(render_pages(batch))
+    wide line frame (``ocr_pages``). The page media lives and dies in
+    this task."""
+    from ..stages.image_ops import stack_pages
+
+    texts = batch["text"].to_pylist()
+    stack = stack_pages([compose_page(page_lines(t)) for t in texts])
+    return ocr_pages([str(d) for d in batch["doc_id"].to_pylist()], texts, *stack)
 
 
 _cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
@@ -395,12 +454,6 @@ _CER_STAGES = {
     "OCR-2": ("raw", "OCR-2"),
     "corrected": ("postcorrected", "OCR-2"),
 }
-
-
-def _wide_bundle(n_lines: int) -> int:
-    """Rows per task of a pass over ``n_lines`` wide-frame lines: one
-    bundle per CPU, at most ``WIDE_BUNDLE_LINES`` lines each."""
-    return max(1, min(WIDE_BUNDLE_LINES, -(-n_lines // _session_cpus())))
 
 
 def _chain_cer_partials(t: pa.Table) -> pa.Table:
@@ -418,26 +471,29 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     'raw' row per OCR source and one 'postcorrected' row for OCR-2
     (the noisier engine — the reference corrects the aligned master).
 
-    Five Dataset executions, and the only exchange is the Repartition of
-    the (doc_id, text) rows:
+    Five Dataset executions and no exchange:
 
     1. lexicon: per-batch token counts, summed on the driver
        (``textops.token_frequencies``);
-    2. pages → wide frame: one task per ``OCR_BATCH_PAGES`` pages renders
-       them and runs both OCR channels (``_ocr_wide_batch``), and the
-       (doc_id, line_no, OCR-1, OCR-2, GT) frame is materialized;
+    2. pages → wide frame: the read splits the (doc_id, text) rows into
+       one bundle per CPU of at most ``OCR_BATCH_PAGES`` pages
+       (``_text_bundles``); one task per bundle renders them and runs
+       both OCR channels over the page stack (``_ocr_wide_batch``), and
+       the (doc_id, line_no, OCR-1, OCR-2, GT) frame is materialized;
     3. confusions learned from OCR-2-vs-GT pairs;
     4. ranker examples;
     5. line correction and every CER partial (raw OCR-1, raw OCR-2,
        corrected OCR-2) in one pass, summed by one ``cer_reduce``.
 
     Passes 3-5 read the wide frame in one bundle per CPU of at most
-    ``WIDE_BUNDLE_LINES`` lines (``_wide_bundle``). With ``out_dir``, the corrected lines
-    are materialized and written as a resumable stage output first.
+    ``WIDE_BUNDLE_LINES`` lines (``_bundle``). With ``out_dir``, the
+    corrected lines are materialized and written as a resumable stage
+    output first.
 
     Every stage is a plain Ray Data task on the session's warm workers:
-    OCR builds its (cheap) DualChannelOCR per batch, correction rebuilds
-    its LineCorrector at most once per worker (``postcorrect.correct_lines``).
+    the OCR task needs no state beyond the per-process template bank,
+    and correction rebuilds its LineCorrector at most once per worker
+    (``postcorrect.correct_lines``).
     No actor pool: the chain starts no processes per run and finishes on
     a 1-CPU session.
     """
@@ -450,13 +506,10 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     # dict), top-V truncated
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     lexicon = token_frequencies(docs, top_v=200_000).to_dict()
-    wide = (
-        _text_rows(sf_dir)
-        .map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=OCR_BATCH_PAGES)
-        .materialize()
-    )
+    texts, pages_per_batch = _text_bundles(sf_dir)
+    wide = texts.map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=pages_per_batch).materialize()
 
-    bundle = _wide_bundle(wide.count())
+    bundle = _bundle(wide.count(), WIDE_BUNDLE_LINES)
 
     def wide_pass(project):
         return wide.map_batches(project, batch_format="pyarrow", batch_size=bundle)

@@ -81,17 +81,16 @@ def render_line(
     w = PAD_X * 2 + GLYPH_W * len(text)
     h = PAD_Y * 2 + GLYPH_H
     img = np.full((h, w), 255, dtype=np.uint8)
-    for i, ch in enumerate(text):
-        if ch == " ":
-            continue
-        g = _glyph(ch)
-        y0 = PAD_Y + 2
-        x0 = PAD_X + i * GLYPH_W + 1
-        img[y0 : y0 + g.shape[0], x0 : x0 + g.shape[1]][g] = 0
+    # glyph i fills columns 1..GLYPH_W-2 of its GLYPH_W-wide cell, from
+    # row PAD_Y + 2: all cells painted through one (rows, cell, col) view
+    gh, gw = GLYPH_H - 4, GLYPH_W - 2
+    ink = np.stack([np.zeros((gh, gw), bool) if ch == " " else _glyph(ch) for ch in text])
+    cells = img[PAD_Y + 2 : PAD_Y + 2 + gh, PAD_X : PAD_X + GLYPH_W * len(text)].reshape(gh, len(text), GLYPH_W)
+    cells[:, :, 1 : 1 + gw][ink.transpose(1, 0, 2)] = 0
     if abs(skew_deg) > 1e-9:
         img = shear_vertical(img, skew_deg)
-    rng = np.random.default_rng(seed)
     if noise:
+        rng = np.random.default_rng(seed)
         # bounded draws: small/dense lines may lack enough isolated
         # white 3x3 sites — stop after 50*noise attempts
         placed, attempts = 0, 0

@@ -56,42 +56,96 @@ def normalize_gray(img: np.ndarray) -> np.ndarray:
 def otsu_threshold(img: np.ndarray) -> float:
     """Classic Otsu over a 256-bin histogram of a float [0,1] image."""
     hist, edges = np.histogram(img, bins=256, range=(0.0, 1.0))
-    return _otsu_from_hist(hist.astype(np.float64), edges)
+    return float(_otsu_rows(hist[None].astype(np.float64), edges)[0])
 
 
-def _otsu_from_hist(hist: np.ndarray, edges: np.ndarray) -> float:
-    total = hist.sum()
-    if total == 0:
-        return 0.5
+def _otsu_rows(hists: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Otsu threshold of every row of a (n, bins) float64 histogram
+    array: the cumulative sums run along each row, so every row gets
+    the same floats as a histogram of its own (0.5 for an empty one)."""
+    total = hists.sum(axis=1)
     centers = (edges[:-1] + edges[1:]) / 2
-    w0 = np.cumsum(hist)
-    w1 = total - w0
-    m0 = np.cumsum(hist * centers)
-    mt = m0[-1]
+    w0 = np.cumsum(hists, axis=1)
+    w1 = total[:, None] - w0
+    m0 = np.cumsum(hists * centers, axis=1)
+    mt = m0[:, -1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         mu0 = m0 / w0
         mu1 = (mt - m0) / w1
         between = w0 * w1 * (mu0 - mu1) ** 2
     between[~np.isfinite(between)] = -1
-    return float(centers[int(np.argmax(between))])
+    return np.where(total == 0, 0.5, centers[np.argmax(between, axis=1)])
+
+
+def stack_pages(pages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """uint8 pages of any sizes -> (stack, heights, widths): one
+    (pages, max h, max w) array, each page top-left and padded with
+    white (255). The stack kernels below treat white padding as
+    background and keep it white."""
+    hs = np.array([p.shape[0] for p in pages], np.int64)
+    ws = np.array([p.shape[1] for p in pages], np.int64)
+    stack = np.full((len(pages), int(hs.max(initial=0)), int(ws.max(initial=0))), 255, np.uint8)
+    for out, page in zip(stack, pages):
+        out[: page.shape[0], : page.shape[1]] = page
+    return stack, hs, ws
+
+
+def _page_counts(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(black, white) pixel counts of every page of a white-padded uint8
+    stack, padding excluded; a page is binary iff they sum to h·w."""
+    flat = stack.reshape(len(stack), -1)
+    n_pad = flat.shape[1] - hs * ws
+    return _row_counts(flat == 0), _row_counts(flat == 255) - n_pad
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True count of every row of a 2-D bool array (a loop of flat
+    ``count_nonzero`` calls is several times faster than ``axis=1``)."""
+    return np.array([np.count_nonzero(row) for row in mask], np.int64)
+
+
+def binarize_stack(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Global Otsu binarization of every page of a white-padded uint8
+    stack -> uint8 {0,255}, padding white (binarize.py:41-48
+    'global'/'otsu' methods).
+
+    Per page, exactly as on the page alone: a page whose mean is below
+    127.5 is inverted first (the inversion check), and its threshold
+    comes from a 256-bin histogram of its own pixels, padding excluded
+    (a binary page's histogram is its black and white counts). v/255
+    falls in histogram bin v exactly (v·256/255 is never an integer for
+    0<v<255), so the histogram counts the raw bytes, and ``a > t`` with
+    ``a = w/255`` is ``w > floor(255·t)`` for a byte ``w``."""
+    n = len(stack)
+    black, white = _page_counts(stack, hs, ws)
+    binary = black + white == hs * ws
+    sums = 255 * white
+    for p in np.flatnonzero(~binary):
+        sums[p] = stack[p, : hs[p], : ws[p]].sum(dtype=np.int64)
+    inv = 2 * sums < 255 * hs * ws
+    w = stack
+    if inv.any():
+        w = stack.copy()
+        w[inv] = 255 - w[inv]
+    hists = np.zeros((n, 256))
+    hists[:, 0] = np.where(inv, white, black)
+    hists[:, 255] = np.where(inv, black, white)
+    for p in np.flatnonzero(~binary):
+        hists[p] = np.bincount(w[p, : hs[p], : ws[p]].ravel(), minlength=256)
+    t = _otsu_rows(hists, np.linspace(0.0, 1.0, 257))
+    # t is a bin center (or 0.5), so 0 <= floor(255·t) <= 254
+    out = (w > np.floor(t * 255.0).astype(np.uint8)[:, None, None]).view(np.uint8) * np.uint8(255)
+    for p in np.flatnonzero(inv):  # an inverted page's padding turned black
+        out[p, hs[p] :, :] = 255
+        out[p, :, ws[p] :] = 255
+    return out
 
 
 def binarize_global(img: np.ndarray) -> np.ndarray:
-    """Global Otsu binarization -> uint8 {0,255} (binarize.py:41-48
-    'global'/'otsu' methods).
-
-    uint8 fast path: v/255 falls in histogram bin v exactly (v·256/255
-    is never an integer for 0<v<255), so the 256-bin histogram is one
-    ``bincount`` over the raw bytes — no float64 image copy, no
-    per-pixel bin search. The Otsu math and the threshold compare are
-    bit-identical to the float path (verified byte-for-byte on the
-    corpus pages); ~10× faster per page."""
+    """Global Otsu binarization -> uint8 {0,255}: ``binarize_stack`` over
+    one page for uint8 input, the float histogram path otherwise."""
     if img.dtype == np.uint8:
-        w = (255 - img) if img.mean() < 127.5 else img  # inversion check
-        hist = np.bincount(w.ravel(), minlength=256).astype(np.float64)
-        t = _otsu_from_hist(hist, np.linspace(0.0, 1.0, 257))
-        # a > t with a = w/255  <=>  w > 255·t (255·t is never integral)
-        return np.where(w > t * 255.0, 255, 0).astype(np.uint8)
+        return binarize_stack(img[None], np.array(img.shape[:1]), np.array(img.shape[1:]))[0]
     a = normalize_gray(img)
     t = otsu_threshold(a)
     return np.where(a > t, 255, 0).astype(np.uint8)
@@ -237,6 +291,31 @@ def label_components(binary_fg: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, len(uniq)
 
 
+def despeckle_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Paint every isolated foreground pixel of a white-padded uint8
+    stack to background; returns (cleaned, removed per page).
+
+    Under the 4-connectivity ``label_components`` uses, a size-1
+    component is exactly a fg pixel with no fg 4-neighbour, so one
+    neighbour test replaces the labeling. Padding is white, so
+    a page's border sees background beyond it, as it would alone."""
+    fg = stack < 128
+    iso = np.zeros_like(fg)  # first: fg 4-neighbours
+    iso[:, 1:] |= fg[:, :-1]
+    iso[:, :-1] |= fg[:, 1:]
+    iso[:, :, 1:] |= fg[:, :, :-1]
+    iso[:, :, :-1] |= fg[:, :, 1:]
+    np.logical_not(iso, out=iso)
+    iso &= fg
+    del fg
+    removed = _row_counts(iso.reshape(len(stack), -1))
+    if not removed.any():
+        return stack, removed
+    out = stack.copy()
+    out[iso] = 255
+    return out, removed
+
+
 def remove_small_components(img: np.ndarray, *, minsize: int = 4) -> tuple[np.ndarray, int]:
     """Despeckle: paint foreground components smaller than ``minsize``
     pixels to background (remove_noise, common.py:1153-1169).
@@ -244,25 +323,10 @@ def remove_small_components(img: np.ndarray, *, minsize: int = 4) -> tuple[np.nd
     if minsize <= 1:
         # sizes < minsize matches no component — no-op, same as slow path
         return img, 0
+    if minsize == 2:  # size-1 components only: the stack kernel over this page
+        out, removed = despeckle_stack(img[None])
+        return out[0], int(removed[0])
     fg = img < 128
-    if minsize == 2:
-        # fast path: only size-1 components are removed — under the
-        # 4-connectivity label_components uses, an isolated pixel is
-        # exactly a fg pixel with zero fg 4-neighbours, so one padded
-        # neighbour-count replaces the full CC labeling (bit-identical
-        # result; each isolated pixel is its own component)
-        p = np.pad(fg, 1)
-        nbr = (
-            p[:-2, 1:-1].astype(np.uint8) + p[2:, 1:-1]
-            + p[1:-1, :-2] + p[1:-1, 2:]
-        )
-        iso = fg & (nbr == 0)
-        k = int(iso.sum())
-        if k == 0:
-            return img, 0
-        out = img.copy()
-        out[iso] = 255
-        return out, k
     labels, n = label_components(fg)
     if n == 0:
         return img, 0

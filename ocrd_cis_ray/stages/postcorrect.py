@@ -375,6 +375,7 @@ class RankerExampleUDF(PostCorrector):
         super().__init__(*args, **kw)
         self.sample_rate = sample_rate
         self._example_cache: dict[tuple, tuple] = {}
+        self._tok_ids: dict[tuple, int] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
         from ..stages.align import match_cursor
@@ -397,7 +398,8 @@ class RankerExampleUDF(PostCorrector):
             gts = [g for g, k in zip(gts, keep) if k]
         feats: list[np.ndarray] = []
         labels: list[float] = []
-        tok_ids: list[int] = []
+        trips: list[tuple] = []  # the triple of each example group
+        new_trips: list[tuple] = []
         for text, peer, gt in zip(texts, peers, gts):
             words = (text or "").split(" ") if text else []
             if not words:
@@ -434,26 +436,29 @@ class RankerExampleUDF(PostCorrector):
                     F = self.cand_features(key, peer_key, cands, include_keep=True)
                     lab = [1.0 if c[0] == gt_tok else 0.0 for c in cands]
                     lab.append(1.0 if key == gt_tok else 0.0)  # keep row
-                    tok = int(
-                        pd.util.hash_array(
-                            np.asarray([f"{key}\x00{peer_key}\x00{gt_tok}"], dtype=object)
-                        )[0]
-                    )
-                    hit = (F, lab, tok)
+                    hit = (F, lab)
                     self._example_cache[trip] = hit
+                    new_trips.append(trip)
                 elif hit == ():
                     continue
-                F, lab, tok = hit
+                F, lab = hit
                 feats.append(F)
                 labels.extend(lab)
-                tok_ids.extend([tok] * len(lab))
+                trips.append(trip)
+        if new_trips:
+            # every new triple's group id in one hash call; categorize=False
+            # hashes each string as a call over that string alone does
+            # (the categorizing path gives other values to strings with NULs)
+            keys = np.asarray([f"{k}\x00{p}\x00{g}" for k, p, g in new_trips], dtype=object)
+            self._tok_ids.update(zip(new_trips, pd.util.hash_array(keys, categorize=False).tolist()))
         if feats:
             X = np.concatenate(feats)
         else:
             X = np.zeros((0, len(self.RANKER_FEATURES)), np.float64)
+        tok_ids = np.repeat(np.asarray([self._tok_ids[t] for t in trips], np.uint64), [len(F) for F in feats])
         cols = {f"f_{name}": pa.array(X[:, i]) for i, name in enumerate(self.RANKER_FEATURES)}
         cols["label"] = pa.array(np.asarray(labels, np.float64))
-        cols["tok_id"] = pa.array(np.asarray(tok_ids, np.uint64))
+        cols["tok_id"] = pa.array(tok_ids)
         return pa.table(cols)
 
 
@@ -585,19 +590,31 @@ def train_ranker(
     # -- model selection on the training sample ------------------------
     # fixed vote decision = the rank-0 candidate row; learned decision =
     # argmax score within the token group (keep row included)
-    z = X @ w
-    df = pd.DataFrame(
-        {"tok": tok, "z": z, "y": y, "rank0": (X[:, 1] == 0.0) & (X[:, 7] == 0.0)}
-    )
-    fixed_ok = learned_ok = groups = 0
-    for _, g in df.groupby("tok", sort=False):
-        groups += 1
-        r0 = g[g["rank0"]]
-        fixed_ok += int(r0["y"].iloc[0]) if len(r0) else 0
-        learned_ok += int(g.loc[g["z"].idxmax(), "y"])
+    groups, fixed_ok, learned_ok = _selection_counts(tok, X @ w, y, (X[:, 1] == 0.0) & (X[:, 7] == 0.0))
     if groups == 0 or learned_ok <= fixed_ok:
         return None
     return w
+
+
+def _selection_counts(tok: np.ndarray, z: np.ndarray, y: np.ndarray, rank0: np.ndarray) -> tuple[int, int, int]:
+    """Model selection over example rows grouped by ``tok``: (groups,
+    fixed vote hits, learned hits). Per group, the fixed vote takes the
+    label of its first rank-0 row (no hit without one); the learned
+    decision takes the label of its first row of highest score (NaN
+    scores never win, as with pandas' ``idxmax``)."""
+    if len(tok) == 0:
+        return 0, 0, 0
+    order = np.argsort(tok, kind="stable")  # groups contiguous, rows in table order
+    tok, z, y, rank0 = tok[order], z[order], y[order], rank0[order]
+    z = np.where(np.isnan(z), -np.inf, z)
+    starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
+    sizes = np.diff(np.r_[starts, len(tok)])
+    row = np.arange(len(tok))
+    past = len(tok)  # no such row
+    top = np.minimum.reduceat(np.where(z == np.repeat(np.maximum.reduceat(z, starts), sizes), row, past), starts)
+    first0 = np.minimum.reduceat(np.where(rank0, row, past), starts)
+    labels = np.r_[y, 0.0].astype(np.int64)
+    return len(starts), int(labels[first0].sum()), int(labels[top].sum())
 
 
 def learn_confusions(

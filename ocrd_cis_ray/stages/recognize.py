@@ -31,12 +31,16 @@ translate_back), the template path's from the glyph grid.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pyarrow as pa
 
 from ..sources.media import GLYPH_H, GLYPH_W, PAD_X, PAD_Y, _glyph, decode_gray
 
 CHARSET = [chr(c) for c in range(32, 127)]
+# cells per matmul slice of ``match_lines``
+_SCORE_ROWS = 4096
 
 
 def _bbox_poly(x0, y0, x1, y1) -> list[dict]:
@@ -50,6 +54,90 @@ def _bbox_poly(x0, y0, x1, y1) -> list[dict]:
         {"x": int(x1), "y": int(y1)},
         {"x": int(x0), "y": int(y1)},
     ]
+
+
+@lru_cache(maxsize=1)
+def template_bank() -> tuple[np.ndarray, np.ndarray]:
+    """(templates, norms): one 0/1 float64 row of (GLYPH_H-4)·(GLYPH_W-2)
+    glyph pixels per CHARSET entry (the space is all zero), built once
+    per process; the norms are floored at 1e-9."""
+    gh, gw = GLYPH_H - 4, GLYPH_W - 2
+    templates = np.stack(
+        [np.zeros(gh * gw) if ch == " " else _glyph(ch).astype(np.float64).ravel() for ch in CHARSET]
+    )
+    templates.setflags(write=False)
+    return templates, np.maximum(np.linalg.norm(templates, axis=1), 1e-9)
+
+
+def match_lines(lines: list[np.ndarray], templates: np.ndarray, tnorm: np.ndarray) -> list[tuple[str, np.ndarray, int]]:
+    """Template recognition of uint8 line images: per line (text, the
+    confidences of its cells from the first inked one, that cell's grid
+    x origin). Every cell of every line is matched in one matmul.
+
+    Per line: the glyph grid's x phase is the offset whose cell MARGIN
+    columns carry the least ink (a stray speck before the first glyph
+    cannot shift it; clean render: exactly zero), and its row is the
+    8-row window holding the most ink. Leading empty cells are dropped
+    (a lone speck can pull the ink bbox left of the first glyph; GT
+    lines never start with spaces), an empty cell reads as a space of
+    confidence 1, and trailing spaces are stripped.
+
+    The lines are padded white into one (lines, h, w) stack: padding
+    adds no ink, so no phase, window or cell changes, and the 0/1 dot
+    products are exact integers, so each cell's scores are the ones it
+    gets on its own."""
+    gh, gw = GLYPH_H - 4, GLYPH_W - 2
+    n_lines = len(lines)
+    if n_lines == 0:
+        return []
+    hmax = max(gh, max(im.shape[0] for im in lines))
+    wmax = -(-(max(im.shape[1] for im in lines) + GLYPH_W) // GLYPH_W) * GLYPH_W
+    stack = np.full((n_lines, hmax, wmax), 255, np.uint8)
+    for out, im in zip(stack, lines):
+        out[: im.shape[0], : im.shape[1]] = im
+    fg = stack < 128
+    del stack
+    col_ink, row_ink = (np.add.reduce(fg.view(np.uint8), axis=a, dtype=np.int32) for a in (1, 2))
+    inked = col_ink.any(axis=1)
+    first_col = np.argmax(col_ink > 0, axis=1)
+    last_col = wmax - 1 - np.argmax(col_ink[:, ::-1] > 0, axis=1)
+    # ink per phase class, margin score = own + previous class
+    per_mod = col_ink.reshape(n_lines, -1, GLYPH_W).sum(axis=1)
+    phase = np.argmin(per_mod + np.roll(per_mod, 1, axis=1), axis=1)
+    x_base = (first_col - 1) - ((first_col - 1 - phase) % GLYPH_W)
+    x_base = np.where(x_base < -1, x_base + GLYPH_W, x_base)  # never slice before the image
+    csum = np.concatenate([np.zeros((n_lines, 1), np.int64), np.cumsum(row_ink, axis=1)], axis=1)
+    y0 = np.argmax(csum[:, gh:] - csum[:, :-gh], axis=1)
+    n_cells = np.where(inked, (last_col - x_base) // GLYPH_W + 1, 0)
+    # every cell of the batch in one gather from the (gh, gw) windows
+    line_of = np.repeat(np.arange(n_lines), n_cells)
+    cell_of = np.arange(len(line_of)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+    windows = np.lib.stride_tricks.sliding_window_view(fg, (gh, gw), axis=(1, 2))
+    cells = windows[line_of, y0[line_of], x_base[line_of] + 1 + cell_of * GLYPH_W].reshape(-1, gh * gw)
+    cnorm = np.sqrt(np.count_nonzero(cells, axis=1).astype(np.float64))
+    # scores in slices of cells, to bound the (cells, templates) temporaries
+    best = np.empty(len(cells), np.intp)
+    confs = np.empty(len(cells))
+    for lo in range(0, len(cells), _SCORE_ROWS):
+        sims = cells[lo : lo + _SCORE_ROWS].astype(np.float64) @ templates.T
+        sims /= np.maximum(cnorm[lo : lo + _SCORE_ROWS, None], 1e-9) * tnorm[None, :]
+        best[lo : lo + len(sims)] = np.argmax(sims, axis=1)
+        confs[lo : lo + len(sims)] = sims[np.arange(len(sims)), best[lo : lo + len(sims)]]
+    empty = cnorm < 1e-9
+    confs[empty] = 1.0
+    chars = np.where(empty, " ", np.asarray(CHARSET)[best]).tolist()
+    ends = np.cumsum(n_cells)
+    starts = ends - n_cells
+    # each line's first inked cell (the sentinel: none)
+    inked_cells = np.append(np.flatnonzero(~empty), len(empty))
+    firsts = inked_cells[np.searchsorted(inked_cells, starts)]
+    out = []
+    for lo, s, hi, xb in zip(starts.tolist(), firsts.tolist(), ends.tolist(), x_base.tolist()):
+        if s >= hi:
+            out.append(("", confs[:0], 0))
+        else:
+            out.append(("".join(chars[s:hi]).rstrip(), confs[s:hi], xb + (s - lo) * GLYPH_W))
+    return out
 
 
 class Recognizer:
@@ -70,14 +158,7 @@ class Recognizer:
             from .lstm import SeqRecognizer
 
             self.seq = SeqRecognizer.load(model_path)
-        tmpls = []
-        for ch in CHARSET:
-            if ch == " ":
-                tmpls.append(np.zeros((GLYPH_H - 4) * (GLYPH_W - 2), dtype=np.float64))
-                continue
-            tmpls.append(_glyph(ch).astype(np.float64).ravel())
-        self.templates = np.stack(tmpls)  # (C, gh*gw)
-        self.tnorm = np.maximum(np.linalg.norm(self.templates, axis=1), 1e-9)
+        self.templates, self.tnorm = template_bank()
         self.min_conf = min_conf
         self.emit_glyphs = emit_glyphs
         # text_only: skip word/glyph (and polygon) assembly — the OCR
@@ -119,77 +200,17 @@ class Recognizer:
         return text.strip(), line_conf, words, glyphs
 
     def recognize_line(self, img: np.ndarray) -> tuple[str, float, list[dict]]:
-        """Auto-locates the glyph grid from the ink bounding box, so it
-        accepts both full renders (with margins) and segmentation crops
-        (trimmed to ink) — segmentation output feeds straight in."""
-        h, w = img.shape
-        gh, gw = GLYPH_H - 4, GLYPH_W - 2
-        fg = img < 128
-        ink_rows = np.flatnonzero(fg.any(axis=1))
-        ink_cols = np.flatnonzero(fg.any(axis=0))
-        if len(ink_rows) == 0:
+        """``match_lines`` over this one line. Auto-locates the glyph
+        grid from the ink, so it accepts both full renders (with
+        margins) and segmentation crops (trimmed to ink) — segmentation
+        output feeds straight in."""
+        h = img.shape[0]
+        ((text, confs, x_base),) = match_lines([img], self.templates, self.tnorm)
+        if not text:
             return "", 0.0, [], []
-        # noise-robust grid anchoring: a stray speck before the first
-        # glyph shifts a first-ink-pixel anchor and garbles the whole
-        # line. Instead: x phase = the grid offset whose cell MARGIN
-        # columns carry the least ink (clean render: exactly zero);
-        # y0 = the 8-row window holding the most ink.
-        col_ink = fg.sum(axis=0).astype(np.int64)
-        mods = np.arange(w) % GLYPH_W
-        # ink per phase class, then margin score = own + previous class
-        # (vectorized bincount replaces the per-phase mask loop)
-        per_mod = np.bincount(mods, weights=col_ink, minlength=GLYPH_W)
-        phase_scores = per_mod + np.roll(per_mod, 1)
-        p = int(np.argmin(phase_scores))
-        fic = int(ink_cols[0])
-        x_base = (fic - 1) - ((fic - 1 - p) % GLYPH_W)
-        while x_base < -1:  # keep phase, never slice before the image
-            x_base += GLYPH_W
-        row_ink = fg.sum(axis=1).astype(np.int64)
-        win = np.convolve(row_ink, np.ones(gh, dtype=np.int64), mode="valid")
-        y0 = int(np.argmax(win))
-        n_cells = max(0, (int(ink_cols[-1]) - x_base) // GLYPH_W + 1)
-        if n_cells == 0:
-            return "", 0.0, [], []
-        # all cells in ONE strided reshape: pad the grid band to full
-        # cell extent, reshape to (gh, n_cells, GLYPH_W), take the glyph
-        # columns — no per-cell Python slicing
-        x_start = x_base + 1  # x_base >= -1 so x_start >= 0
-        band = np.full((gh, n_cells * GLYPH_W), 255, dtype=img.dtype)
-        src = img[y0 : y0 + gh, x_start : x_start + n_cells * GLYPH_W]
-        band[: src.shape[0], : src.shape[1]] = src
-        strips = band.reshape(gh, n_cells, GLYPH_W)
-        cells = (
-            (strips[:, :, :gw].transpose(1, 0, 2) < 128)
-            .reshape(n_cells, gh * gw)
-            .astype(np.float64)
-        )
-        cnorm = np.linalg.norm(cells, axis=1)
-        # drop leading empty cells (a lone speck can pull the ink bbox
-        # left of the first glyph; GT lines never start with spaces)
-        nz = np.flatnonzero(cnorm)
-        if len(nz) == 0:
-            return "", 0.0, [], []
-        if nz[0] > 0:
-            s = int(nz[0])
-            cells = cells[s:]
-            cnorm = cnorm[s:]
-            x_base += s * GLYPH_W
-            n_cells -= s
-        sims = (cells @ self.templates.T) / (np.maximum(cnorm[:, None], 1e-9) * self.tnorm[None, :])
-        best = np.argmax(sims, axis=1)
-        confs = sims[np.arange(n_cells), best]
-        chars = []
-        for i in range(n_cells):
-            if cnorm[i] < 1e-9:
-                chars.append(" ")
-                confs[i] = 1.0
-            else:
-                chars.append(CHARSET[int(best[i])])
-        text = "".join(chars).rstrip()
+        n = len(text)
+        line_conf = float(confs[:n].mean())
         if self.text_only:
-            n = len(text)
-            line_conf = float(confs[: max(1, n)].mean()) if n else 0.0
             return text, line_conf, [], []
         # glyph poly = its grid cell x full line height; word poly =
         # first-to-last glyph cell extent x full line height (reference
@@ -202,7 +223,6 @@ class Recognizer:
         # word split with positions + (min+max)/2 confidences
         words = []
         i = 0
-        n = len(text)
         while i < n:
             if text[i] == " ":
                 i += 1
@@ -217,7 +237,6 @@ class Recognizer:
                  "poly": _bbox_poly(x_base + i * GLYPH_W, 0, x_base + j * GLYPH_W, h)}
             )
             i = j
-        line_conf = float(confs[: max(1, n)].mean()) if n else 0.0
         return text, line_conf, words, glyphs
 
     def __call__(self, batch: pa.Table) -> pa.Table:

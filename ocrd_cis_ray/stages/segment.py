@@ -31,19 +31,21 @@ from .image_ops import binarize_global
 
 
 def _gaps(profile: np.ndarray, min_gap: int) -> list[tuple[int, int]]:
-    """Maximal runs of zero-ink positions of length >= min_gap (interior only)."""
+    """Maximal runs of zero-ink positions of length >= min_gap (interior
+    only: a run touching either end of the profile is a margin, not a
+    separator), from one ``np.diff`` over the blank mask."""
     blank = profile == 0
-    gaps = []
-    start = None
-    for i, b in enumerate(blank):
-        if b and start is None:
-            start = i
-        elif not b and start is not None:
-            if i - start >= min_gap and start > 0:
-                gaps.append((start, i))
-            start = None
-    # trailing blank run is a margin, not a separator
-    return gaps
+    if not blank.any():
+        return []
+    d = np.diff(blank.view(np.int8))
+    starts = np.flatnonzero(d == 1) + 1  # blank runs that start inside
+    ends = np.flatnonzero(d == -1) + 1  # blank runs that end inside
+    if blank[0]:
+        ends = ends[1:]
+    if blank[-1]:
+        starts = starts[:-1]
+    keep = ends - starts >= min_gap
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 def estimate_scale(fg: np.ndarray, *, zoom: float = 1.0) -> int:
@@ -631,8 +633,107 @@ def segment_page_seeds(
     return boxes
 
 
+# the XY cut's defaults (``segment_page``, ``segment_stack``)
+MIN_LINE_GAP, MIN_COL_GAP, MIN_LINE_H = 3, 20, 4
+
+
+def _binary_pages(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """The XY cut's input rule over a white-padded uint8 stack: an
+    already-binary page (the chain binarizes upstream) skips the
+    redundant Otsu pass — thresholding a {0,255} page at any Otsu
+    threshold in (0,255) returns it unchanged — and is inverted when
+    mostly dark, mirroring ``binarize_global``'s inversion check (mean
+    without the padding: a binary page's is 255 · white / (h·w)); any
+    other page is Otsu-binarized."""
+    from .image_ops import _page_counts, binarize_stack
+
+    black, white = _page_counts(stack, hs, ws)
+    binary = black + white == hs * ws
+    dark = binary & (2 * white < hs * ws)
+    if binary.all() and not dark.any():
+        return stack
+    out = stack.copy()
+    for p in np.flatnonzero(dark):
+        out[p, : hs[p], : ws[p]] = 255 - stack[p, : hs[p], : ws[p]]
+    if not binary.all():
+        out[~binary] = binarize_stack(stack[~binary], hs[~binary], ws[~binary])
+    return out
+
+
+def _xy_cut(fg: np.ndarray, rows: np.ndarray, cols: np.ndarray, min_line_gap: int, min_col_gap: int, min_line_h: int) -> list[tuple[int, int, int, int]]:
+    """Line boxes (y0, y1, x0, x1) of one page's ink mask ``fg`` (with
+    its row and column ink profiles) by recursive XY cut, depth-first,
+    which is reading order.
+
+    Each pending box carries its row and column profiles. Trimming a
+    box to its ink slices them (the cut rows and columns hold no ink),
+    and the trimmed box goes straight on to the gap search. A band of
+    a horizontal cut keeps its slice of the row profile, so only its
+    column profile is summed anew (and the converse for a vertical
+    cut). The pending boxes sit on a LIFO stack, children pushed
+    last-first, which visits them in the recursion's order."""
+    out: list[tuple[int, int, int, int]] = []
+    h, w = fg.shape
+    todo = [((0, h, 0, w), "v", rows, cols)]
+    while todo:
+        box, axis, rows, cols = todo.pop()
+        y0, y1, x0, x1 = box
+        nz_r = np.flatnonzero(rows)
+        if len(nz_r) == 0:
+            continue
+        nz_c = np.flatnonzero(cols)
+        ty0, ty1 = y0 + nz_r[0], y0 + nz_r[-1] + 1
+        tx0, tx1 = x0 + nz_c[0], x0 + nz_c[-1] + 1
+        if (ty0, ty1, tx0, tx1) != (y0, y1, x0, x1):  # cut to the ink (trimming it again is a no-op)
+            box = y0, y1, x0, x1 = ty0, ty1, tx0, tx1
+            rows, cols = rows[nz_r[0] : nz_r[-1] + 1], cols[nz_c[0] : nz_c[-1] + 1]
+        if axis == "h":
+            gaps = _gaps(rows, min_line_gap)
+            if gaps:
+                bands, prev = [], y0
+                for gy0, gy1 in gaps + [(y1 - y0, None)]:
+                    band = fg[prev : y0 + gy0, x0:x1]
+                    bands.append(((prev, y0 + gy0, x0, x1), "v", rows[prev - y0 : gy0], band.sum(axis=0)))
+                    if gy1 is not None:
+                        prev = y0 + gy1
+                todo.extend(reversed(bands))
+            elif _gaps(cols, min_col_gap):  # no horizontal gap: try vertical before declaring a leaf
+                todo.append((box, "v", rows, cols))
+            elif y1 - y0 >= min_line_h:
+                out.append(box)
+            continue
+        # vertical (column) cut: left-to-right
+        vgaps = _gaps(cols, min_col_gap)
+        if vgaps:
+            bands, prev = [], x0
+            for gx0, gx1 in vgaps + [(x1 - x0, None)]:
+                band = fg[y0:y1, prev : x0 + gx0]
+                bands.append(((y0, y1, prev, x0 + gx0), "h", band.sum(axis=1), cols[prev - x0 : gx0]))
+                if gx1 is not None:
+                    prev = x0 + gx1
+            todo.extend(reversed(bands))
+        elif _gaps(rows, min_line_gap):  # no column gap: fall back to horizontal
+            todo.append((box, "h", rows, cols))
+        elif y1 - y0 >= min_line_h:
+            out.append(box)
+    return out
+
+
+def segment_stack(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> list[list[tuple[int, int, int, int]]]:
+    """``segment_page``'s default XY cut over every page of a
+    white-padded uint8 stack: one input pass, one ink mask and one pair
+    of profile sums for the whole stack (padding holds no ink), then
+    the recursion per page."""
+    fg = _binary_pages(stack, hs, ws) < 128
+    rows, cols = (np.add.reduce(fg.view(np.uint8), axis=a, dtype=np.int32) for a in (2, 1))
+    return [
+        _xy_cut(fg[p, :h, :w], rows[p, :h], cols[p, :w], MIN_LINE_GAP, MIN_COL_GAP, MIN_LINE_H)
+        for p, (h, w) in enumerate(zip(hs.tolist(), ws.tolist()))
+    ]
+
+
 def segment_page(
-    img: np.ndarray, *, min_line_gap: int | str = 3, min_col_gap: int = 20, min_line_h: int = 4, order: str = "xy", remove_separators: bool = False, method: str = "xy", fullpage: bool = False
+    img: np.ndarray, *, min_line_gap: int | str = MIN_LINE_GAP, min_col_gap: int = MIN_COL_GAP, min_line_h: int = MIN_LINE_H, order: str = "xy", remove_separators: bool = False, method: str = "xy", fullpage: bool = False
 ) -> list[tuple[int, int, int, int]]:
     """Line boxes (y0, y1, x0, x1) in reading order via recursive XY cut.
 
@@ -653,12 +754,8 @@ def segment_page(
             remove_separators=remove_separators,
             fullpage=fullpage,
         )
-    # already-binary input (the chain binarizes upstream) skips the
-    # redundant Otsu pass — thresholding a {0,255} image at any Otsu
-    # threshold in (0,255) returns it unchanged (inverted first when
-    # mostly dark, mirroring binarize_global's inversion check), exact
-    if img.dtype == np.uint8 and bool(((img == 0) | (img == 255)).all()):
-        binary = img if img.mean() >= 127.5 else (255 - img)
+    if img.dtype == np.uint8:
+        binary = _binary_pages(img[None], np.array(img.shape[:1]), np.array(img.shape[1:]))[0]
     else:
         binary = binarize_global(img)
     if remove_separators:
@@ -675,59 +772,7 @@ def segment_page(
         # median character scale separates lines without splitting
         # tall glyphs at their waist
         min_line_gap = max(2, estimate_scale(fg) // 3)
-
-    out: list[tuple[int, int, int, int]] = []
-
-    def recurse(box, axis: str):
-        y0, y1, x0, x1 = box
-        sub = fg[y0:y1, x0:x1]
-        rows = sub.sum(axis=1)
-        cols = sub.sum(axis=0)
-        nz_r = np.flatnonzero(rows)
-        nz_c = np.flatnonzero(cols)
-        if len(nz_r) == 0:
-            return
-        ty0, ty1 = y0 + nz_r[0], y0 + nz_r[-1] + 1
-        tx0, tx1 = x0 + nz_c[0], x0 + nz_c[-1] + 1
-        if (ty0, ty1, tx0, tx1) != (y0, y1, x0, x1):
-            recurse((ty0, ty1, tx0, tx1), axis)
-            return
-        if axis == "h":
-            gaps = _gaps(rows, min_line_gap)
-            if gaps:
-                prev = y0
-                for gy0, gy1 in gaps:
-                    recurse((prev, y0 + gy0, x0, x1), "v")
-                    prev = y0 + gy1
-                recurse((prev, y1, x0, x1), "v")
-                return
-            # no horizontal gap: try vertical before declaring a leaf
-            vgaps = _gaps(cols, min_col_gap)
-            if vgaps:
-                recurse(box, "v")
-                return
-            if y1 - y0 >= min_line_h:
-                out.append(box)
-            return
-        else:  # vertical (column) cut: left-to-right
-            vgaps = _gaps(cols, min_col_gap)
-            if vgaps:
-                prev = x0
-                for gx0, gx1 in vgaps:
-                    recurse((y0, y1, prev, x0 + gx0), "h")
-                    prev = x0 + gx1
-                recurse((y0, y1, prev, x1), "h")
-                return
-            # no column gap: fall back to horizontal
-            hgaps = _gaps(rows, min_line_gap)
-            if hgaps:
-                recurse(box, "h")
-                return
-            if y1 - y0 >= min_line_h:
-                out.append(box)
-
-    h, w = fg.shape
-    recurse((0, h, 0, w), "v")
+    out = _xy_cut(fg, fg.sum(axis=1), fg.sum(axis=0), min_line_gap, min_col_gap, min_line_h)
     if order == "topological" and len(out) > 1:
         out = [out[i] for i in reading_order(out)]
     return out

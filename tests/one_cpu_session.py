@@ -84,7 +84,7 @@ def eval_rollup(sf_dir: str, work: str) -> list[dict]:
 def cutter(sf_dir: str, work: str) -> list[dict]:
     from ocrd_cis_ray.pipelines.cutter import cut_training_lines
 
-    return _stats(cut_training_lines(os.path.join(work, "chain"), os.path.join(work, "cut"), n_partitions=2, n_blocks=2))
+    return _stats(cut_training_lines(os.path.join(work, "chain"), os.path.join(work, "cut"), n_partitions=2))
 
 
 def ingest(sf_dir: str, work: str) -> list[dict]:

@@ -36,7 +36,7 @@ def test_cut_training_lines_export(ray_session, tiny_sf, tmp_path):
     from ocrd_cis_ray.sources.media import decode_gray
 
     out_dir = str(tmp_path / "cut")
-    res = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
+    res = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2)
     expect = sum(len(page_lines(t)) for t in pq.read_table(f"{tiny_sf}/documents.parquet")["text"].to_pylist())
     assert res["rows"] == expect and res["completed"] >= 1
 
@@ -53,7 +53,7 @@ def test_cut_training_lines_export(ray_session, tiny_sf, tmp_path):
         assert r["gt_text"] == docs[r["doc_id"]][r["line_no"]]
 
     # resume: second run skips all committed partitions
-    res2 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
+    res2 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2)
     assert res2["completed"] == 0 and res2["skipped"] >= 1
 
     # same path, new contents (words reversed, same doc_ids and line
@@ -61,7 +61,7 @@ def test_cut_training_lines_export(ray_session, tiny_sf, tmp_path):
     t = pq.read_table(f"{tiny_sf}/documents.parquet")
     rev = [" ".join(reversed(x.split(" "))) for x in t["text"].to_pylist()]
     pq.write_table(pa.table({"doc_id": t["doc_id"], "text": rev}), f"{tiny_sf}/documents.parquet")
-    res3 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
+    res3 = cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2)
     assert res3["skipped"] == 0 and res3["completed"] == res["completed"]
     want = {str(d): page_lines(x) for d, x in zip(t["doc_id"].to_pylist(), rev)}
     rows = rd.read_parquet(out_dir).take_all()
@@ -79,7 +79,7 @@ def test_train_consumes_cutter_output(ray_session, tiny_sf, tmp_path):
     from ocrd_cis_ray.stages.lstm import train_recognizer
 
     out_dir = str(tmp_path / "cut")
-    cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2, n_blocks=2)
+    cut_training_lines(tiny_sf, out_dir, line_height=48, n_partitions=2)
     model = str(tmp_path / "m.pkl")
     res = train_recognizer(
         rd.read_parquet(out_dir), model, epochs=2, max_lines=8, nstates=16

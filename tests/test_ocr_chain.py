@@ -49,30 +49,78 @@ def test_chain_deterministic(ray_session, sf_dir, chain_result):
 
 def test_chain_runs_five_executions_without_sort(ray_session, sf_dir, chain_result, executed_plans):
     """The chain makes at most five Dataset executions (lexicon, pages →
-    wide frame, confusions, ranker examples, correction + CER), and its
-    only all-to-all is the Repartition of the text rows: no Sort counts
-    the vocabulary. Same output as the module's first run."""
-    import re
-
+    wide frame, confusions, ranker examples, correction + CER) and no
+    all-to-all: the read splits the text rows into page bundles, and no
+    Sort counts the vocabulary. Same output as the module's first run."""
     again = run_ocr_chain(sf_dir)
     assert 0 < len(executed_plans) <= 5, executed_plans
-    exchanges = [op for plan in executed_plans for op in re.findall(r"AllToAllOperator\[(\w+)\]", plan)]
-    assert exchanges == ["Repartition"], executed_plans
+    assert not [plan for plan in executed_plans if "AllToAllOperator" in plan], executed_plans
     pd.testing.assert_frame_equal(chain_result, again)
 
 
 def test_wide_passes_take_one_bundle_per_cpu(ray_session):
-    """A pass over the wide frame runs one task per CPU of the session
-    (4 here), up to WIDE_BUNDLE_LINES lines a task."""
+    """A pass runs one task per CPU of the session (4 here): the OCR
+    pass up to OCR_BATCH_PAGES pages a task, the passes over the wide
+    frame up to WIDE_BUNDLE_LINES lines."""
     import ray
 
-    from ocrd_cis_ray.pipelines.ocr_chain import WIDE_BUNDLE_LINES, _wide_bundle
+    from ocrd_cis_ray.pipelines.ocr_chain import OCR_BATCH_PAGES, WIDE_BUNDLE_LINES, _bundle
 
     cpus = int(ray.cluster_resources()["CPU"])
     assert cpus > 1
-    assert _wide_bundle(576) == -(-576 // cpus)
-    assert _wide_bundle(cpus * WIDE_BUNDLE_LINES + 1) == WIDE_BUNDLE_LINES
-    assert _wide_bundle(0) == 1
+    for cap in (WIDE_BUNDLE_LINES, OCR_BATCH_PAGES):
+        assert _bundle(cpus * cap - 1, cap) == cap
+        assert _bundle(cpus * cap + 1, cap) == cap
+        assert _bundle(0, cap) == 1
+    assert _bundle(576, WIDE_BUNDLE_LINES) == -(-576 // cpus)
+    assert _bundle(96, OCR_BATCH_PAGES) == -(-96 // cpus)
+
+
+def test_page_bundles_are_one_task_each(ray_session, tmp_path):
+    """The OCR pass reads the text rows in one block per bundle, and
+    each block runs in a task of its own: 10 pages on 4 CPUs split into
+    blocks of 3, 3, 2 and 2 pages, mapped in batches of 2, so no two
+    blocks merge into one task."""
+    from collections import defaultdict
+
+    import pyarrow as pa
+
+    from ocrd_cis_ray.pipelines.ocr_chain import _text_bundles
+
+    pq.write_table(pa.table({"doc_id": list(range(10)), "text": ["a b"] * 10}), str(tmp_path / "documents.parquet"))
+    texts, batch = _text_bundles(str(tmp_path))
+
+    def task_and_pages(t):
+        import ray
+
+        return pa.table({"task": [ray.get_runtime_context().get_task_id()], "n": [t.num_rows]})
+
+    out = texts.map_batches(task_and_pages, batch_format="pyarrow", batch_size=batch).to_pandas()
+    per_task = defaultdict(list)
+    for task, n in zip(out["task"], out["n"]):
+        per_task[task].append(n)
+    assert sorted(sorted(ns) for ns in per_task.values()) == [[1, 2], [1, 2], [2], [2]]
+
+
+@pytest.mark.parametrize(
+    "texts, want",
+    [
+        ([], []),
+        (["", "a b", None], [("postcorrected", "OCR-2", 0, 3), ("raw", "OCR-1", 0, 3), ("raw", "OCR-2", 0, 3)]),
+    ],
+)
+def test_chain_edge_inputs(ray_session, tmp_path, texts, want):
+    """A 0-row documents.parquet gives the empty frame; empty and null
+    texts render blank pages that read as "" with no errors."""
+    import pyarrow as pa
+
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts, pa.string())}),
+        str(tmp_path / "documents.parquet"),
+    )
+    out = run_ocr_chain(str(tmp_path))
+    assert list(out.columns) == ["stage", "source", "char_errors", "gt_chars", "char_error_rate"]
+    assert sorted(zip(out["stage"], out["source"], out["char_errors"], out["gt_chars"])) == want
 
 
 def test_chain_writes_resumable_corrected_corpus(ray_session, sf_dir, tmp_path):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocrd_cis_ray.sources.media import encode_gray, render_line
 from ocrd_cis_ray.stages.postcorrect import PostCorrector, learn_confusions, postcorrect_tokens
@@ -302,3 +303,40 @@ def test_recognizer_glyph_stage(ray_session):
     out = recognize_lines(ds, batch_size=8, emit_glyphs=True).take_all()
     gs = out[0]["glyphs"]
     assert "".join(g["text"] for g in gs) == "hey you"
+
+
+def _selection_loop(tok, z, y, rank0):
+    """train_ranker's model selection as a pandas loop per token group."""
+    import pandas as pd
+
+    df = pd.DataFrame({"tok": tok, "z": z, "y": y, "rank0": rank0})
+    fixed_ok = learned_ok = groups = 0
+    for _, g in df.groupby("tok", sort=False):
+        groups += 1
+        r0 = g[g["rank0"]]
+        fixed_ok += int(r0["y"].iloc[0]) if len(r0) else 0
+        learned_ok += int(g.loc[g["z"].idxmax(), "y"])
+    return groups, fixed_ok, learned_ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.sampled_from([0.0, 1.0]), st.booleans()),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_ranker_selection_matches_the_group_loop(rows, sort_by_tok):
+    """The vectorized selection counts equal the per-group loop's: ties
+    in score go to the group's first row, a group without a rank-0 row
+    counts 0 for the fixed vote, and rows need not be grouped by tok."""
+    from ocrd_cis_ray.stages.postcorrect import _selection_counts
+
+    if sort_by_tok:
+        rows = sorted(rows, key=lambda r: r[0])
+    tok = np.array([r[0] for r in rows], np.uint64)
+    z = np.array([r[1] for r in rows], np.float64)
+    y = np.array([r[2] for r in rows], np.float64)
+    rank0 = np.array([r[3] for r in rows], bool)
+    assert _selection_counts(tok, z, y, rank0) == _selection_loop(tok, z, y, rank0)
