@@ -9,11 +9,12 @@ ocropus_rtrain / `train`.
 Ray-Data-first shape: everything is row-local — each batch renders (or
 receives) page images, segments them, crops/binarizes/resizes the
 lines and pairs them with the page's GT line texts in reading order.
-ZERO shuffles: the read splits the text rows into one block per CPU
-inside the read task. Output goes through ``write_resumable`` (partitioned
-parquet + manifest), so a killed export resumes without recomputing
-finished partitions, and ``train_recognizer`` reads the directory
-directly (columns: pixels, gt_text).
+ZERO shuffles: the read splits the text rows into whole waves of one
+block per CPU inside the read task. Output goes through
+``write_resumable`` (partitioned parquet + manifest), so a killed
+export resumes without recomputing finished partitions, and
+``train_recognizer`` reads the directory directly (columns: pixels,
+gt_text).
 """
 
 from __future__ import annotations
@@ -77,15 +78,16 @@ def cut_training_lines(
     """Full cutter export over the synthetic corpus: documents →
     rendered pages with their GT line texts → cut_lines_batch →
     resumable partitioned parquet. Returns the manifest stats
-    ({"completed", "skipped", "rows"}). The documents are read in the
-    OCR chain's page bundles (``ocr_chain._text_bundles``: one block
-    per CPU, split inside the read task, no exchange)."""
+    ({"completed", "skipped", "rows"}). The documents are read and
+    rendered in the OCR chain's page bundles (``ocr_chain._text_bundles``:
+    whole waves of one block per CPU, split inside the read task, no
+    exchange)."""
     from ..sources.media import encode_gray
     from ..state.manifest import path_fingerprint, write_resumable
     from .ocr_chain import _text_bundles, compose_page, page_lines
 
     doc_path = f"{sf_dir}/documents.parquet"
-    docs, _ = _text_bundles(sf_dir)
+    docs, pages_per_batch = _text_bundles(sf_dir)
 
     def render(t: pa.Table) -> pa.Table:
         out = {"doc_id": [], "pixels": [], "gt_lines": []}
@@ -106,7 +108,7 @@ def cut_training_lines(
 
     from functools import partial
 
-    pages = docs.map_batches(render, batch_format="pyarrow")
+    pages = docs.map_batches(render, batch_format="pyarrow", batch_size=pages_per_batch)
     lines = pages.map_batches(
         partial(cut_lines_batch, line_height=line_height),
         batch_format="pyarrow",

@@ -17,12 +17,12 @@ OCR engine recognize → align → profile/post-correct → stats):
 The render runs inside the OCR task, so page media never leaves it:
 the rows that cross the object store are (doc_id, text) rows in and
 text lines out. ``run_ocr_chain`` makes five Dataset executions and no
-exchange: the read splits the (doc_id, text) rows into one block per
-CPU inside the read task. Every stage runs as plain Ray Data tasks on
-the session's warm workers: the chain starts no processes per run,
-and no stage holds a CPU that the tasks downstream of it need. GT
-lines are derived from the same deterministic page layout, so
-CER-before/after has exact goldens.
+exchange: the read splits the (doc_id, text) rows into whole waves of
+one block per CPU inside the read task. Every stage runs as plain Ray
+Data tasks on the session's warm workers: the chain starts no
+processes per run, and no stage holds a CPU that the tasks downstream
+of it need. GT lines are derived from the same deterministic page
+layout, so CER-before/after has exact goldens.
 """
 
 from __future__ import annotations
@@ -41,8 +41,14 @@ WORDS_PER_LINE = 8
 # Each task pays a fixed Ray cost that outweighs the work of a few
 # hundred lines or a few pages, so the OCR execution and the passes over
 # the materialized wide frame (confusions, ranker examples, correction
-# + CER) each take one bundle per CPU (``_bundle``), capped below; no
-# result depends on the block layout.
+# + CER) each run in whole waves of one task per CPU (``_n_bundles``),
+# as few as keep a task under the caps below; no result depends on the
+# block layout. Too few waves leave a straggler tail: the per-page OCR
+# stage that preceded the page stack took 11.8 s with 2xCPU blocks
+# against 9.9 s with 6xCPU (sf0.1, 32 CPUs). Too many tasks cost more:
+# at sf0.1 on 4 CPUs, the OCR execution took 13.2 s in 316 tasks of 16
+# pages, 7.6 s in 80 of 64 and 7.1 s in 20 of 250 (with 19 % more
+# peak memory).
 # most pages per OCR task: a channel holds a (pages, h, w) uint8 stack,
 # about 100 KB a page, plus a few stack-sized temporaries
 OCR_BATCH_PAGES = 64
@@ -104,17 +110,19 @@ def _session_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8))
 
 
-def _bundle(n_rows: int, cap: int) -> int:
-    """Rows per task of a pass over ``n_rows`` rows: one bundle per CPU,
-    at most ``cap`` rows each."""
-    return max(1, min(cap, -(-n_rows // _session_cpus())))
+def _n_bundles(n_rows: int, cap: int) -> int:
+    """Tasks of a pass over ``n_rows`` rows: whole waves of one task per
+    CPU, as few as keep a task at most ``cap`` rows, and never more
+    tasks than rows (at least 1)."""
+    cpus = _session_cpus()
+    return max(1, min(n_rows, cpus * -(-n_rows // (cpus * cap))))
 
 
 def _text_bundles(sf_dir: str):
     """(doc_id, text) rows of ``documents.parquet`` in page bundles;
     returns (dataset, batch size).
 
-    The read asks for one block per bundle (``_bundle`` with cap
+    The read asks for one block per bundle (``_n_bundles`` with cap
     ``OCR_BATCH_PAGES``), so Ray splits the rows inside the read task
     and no exchange runs. The testdata files hold one row group each,
     so the reader alone cannot spread them over tasks. The split makes
@@ -125,7 +133,7 @@ def _text_bundles(sf_dir: str):
 
     path = f"{sf_dir}/documents.parquet"
     n = pds.dataset(path, format="parquet").count_rows()
-    k = max(1, -(-n // _bundle(n, OCR_BATCH_PAGES)))
+    k = _n_bundles(n, OCR_BATCH_PAGES)
     ds = rd.read_parquet(path, columns=["doc_id", "text"], override_num_blocks=k)
     return ds, max(1, n // k)
 
@@ -355,7 +363,7 @@ def _channel_lines(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray, doc_ids: l
     order. Every line of the batch is matched against the glyph
     templates in one matmul (``recognize.match_lines``)."""
     from ..stages.image_ops import binarize_stack, despeckle_stack
-    from ..stages.recognize import match_lines, template_bank
+    from ..stages.recognize import match_lines
     from ..stages.segment import segment_stack
 
     s = degrade_stack(stack, hs, ws, doc_ids, source, noise, erode, DEGRADE_SEED)
@@ -363,7 +371,7 @@ def _channel_lines(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray, doc_ids: l
     s, _ = despeckle_stack(s)
     boxes = segment_stack(s, hs, ws)
     crops = [s[p, y0:y1, x0:x1] for p, page_boxes in enumerate(boxes) for y0, y1, x0, x1 in page_boxes]
-    texts = iter([text for text, _, _ in match_lines(crops, *template_bank())])
+    texts = iter([text for text, _, _ in match_lines(crops)])
     return [[next(texts) for _ in page_boxes] for page_boxes in boxes]
 
 
@@ -476,19 +484,20 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     1. lexicon: per-batch token counts, summed on the driver
        (``textops.token_frequencies``);
     2. pages → wide frame: the read splits the (doc_id, text) rows into
-       one bundle per CPU of at most ``OCR_BATCH_PAGES`` pages
-       (``_text_bundles``); one task per bundle renders them and runs
-       both OCR channels over the page stack (``_ocr_wide_batch``), and
-       the (doc_id, line_no, OCR-1, OCR-2, GT) frame is materialized;
+       whole waves of one bundle per CPU, each of at most
+       ``OCR_BATCH_PAGES`` pages (``_text_bundles``); one task per
+       bundle renders them and runs both OCR channels over the page
+       stack (``_ocr_wide_batch``), and the (doc_id, line_no, OCR-1,
+       OCR-2, GT) frame is materialized;
     3. confusions learned from OCR-2-vs-GT pairs;
     4. ranker examples;
     5. line correction and every CER partial (raw OCR-1, raw OCR-2,
        corrected OCR-2) in one pass, summed by one ``cer_reduce``.
 
-    Passes 3-5 read the wide frame in one bundle per CPU of at most
-    ``WIDE_BUNDLE_LINES`` lines (``_bundle``). With ``out_dir``, the
-    corrected lines are materialized and written as a resumable stage
-    output first.
+    Passes 3-5 read the wide frame in whole waves of one bundle per
+    CPU, each of at most ``WIDE_BUNDLE_LINES`` lines (``_n_bundles``).
+    With ``out_dir``, the corrected lines are materialized and written
+    as a resumable stage output first.
 
     Every stage is a plain Ray Data task on the session's warm workers:
     the OCR task needs no state beyond the per-process template bank,
@@ -509,7 +518,8 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     texts, pages_per_batch = _text_bundles(sf_dir)
     wide = texts.map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=pages_per_batch).materialize()
 
-    bundle = _bundle(wide.count(), WIDE_BUNDLE_LINES)
+    n_lines = wide.count()
+    bundle = max(1, -(-n_lines // _n_bundles(n_lines, WIDE_BUNDLE_LINES)))
 
     def wide_pass(project):
         return wide.map_batches(project, batch_format="pyarrow", batch_size=bundle)

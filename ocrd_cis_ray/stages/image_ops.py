@@ -134,7 +134,8 @@ def binarize_stack(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> np.ndar
         hists[p] = np.bincount(w[p, : hs[p], : ws[p]].ravel(), minlength=256)
     t = _otsu_rows(hists, np.linspace(0.0, 1.0, 257))
     # t is a bin center (or 0.5), so 0 <= floor(255·t) <= 254
-    out = (w > np.floor(t * 255.0).astype(np.uint8)[:, None, None]).view(np.uint8) * np.uint8(255)
+    out = (w > np.floor(t * 255.0).astype(np.uint8)[:, None, None]).view(np.uint8)
+    out *= np.uint8(255)  # in place: a fresh stack-sized product costs 3x the compare
     for p in np.flatnonzero(inv):  # an inverted page's padding turned black
         out[p, hs[p] :, :] = 255
         out[p, :, ws[p] :] = 255

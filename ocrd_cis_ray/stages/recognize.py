@@ -69,10 +69,11 @@ def template_bank() -> tuple[np.ndarray, np.ndarray]:
     return templates, np.maximum(np.linalg.norm(templates, axis=1), 1e-9)
 
 
-def match_lines(lines: list[np.ndarray], templates: np.ndarray, tnorm: np.ndarray) -> list[tuple[str, np.ndarray, int]]:
+def match_lines(lines: list[np.ndarray]) -> list[tuple[str, np.ndarray, int]]:
     """Template recognition of uint8 line images: per line (text, the
     confidences of its cells from the first inked one, that cell's grid
-    x origin). Every cell of every line is matched in one matmul.
+    x origin). Every cell of every line is matched against the
+    ``template_bank`` in one matmul.
 
     Per line: the glyph grid's x phase is the offset whose cell MARGIN
     columns carry the least ink (a stray speck before the first glyph
@@ -90,6 +91,7 @@ def match_lines(lines: list[np.ndarray], templates: np.ndarray, tnorm: np.ndarra
     n_lines = len(lines)
     if n_lines == 0:
         return []
+    templates, tnorm = template_bank()
     hmax = max(gh, max(im.shape[0] for im in lines))
     wmax = -(-(max(im.shape[1] for im in lines) + GLYPH_W) // GLYPH_W) * GLYPH_W
     stack = np.full((n_lines, hmax, wmax), 255, np.uint8)
@@ -158,7 +160,6 @@ class Recognizer:
             from .lstm import SeqRecognizer
 
             self.seq = SeqRecognizer.load(model_path)
-        self.templates, self.tnorm = template_bank()
         self.min_conf = min_conf
         self.emit_glyphs = emit_glyphs
         # text_only: skip word/glyph (and polygon) assembly — the OCR
@@ -204,8 +205,11 @@ class Recognizer:
         grid from the ink, so it accepts both full renders (with
         margins) and segmentation crops (trimmed to ink) — segmentation
         output feeds straight in."""
-        h = img.shape[0]
-        ((text, confs, x_base),) = match_lines([img], self.templates, self.tnorm)
+        return self._template_result(*match_lines([img])[0], img.shape[0])
+
+    def _template_result(self, text: str, confs: np.ndarray, x_base: int, h: int) -> tuple[str, float, list[dict]]:
+        """(text, line conf, words, glyphs) of one ``match_lines``
+        result for a line image of height ``h``."""
         if not text:
             return "", 0.0, [], []
         n = len(text)
@@ -240,18 +244,27 @@ class Recognizer:
         return text, line_conf, words, glyphs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        pixels = batch["pixels"].to_pylist()
-        texts, confs, words_col, glyphs_col = [], [], [], []
-        rec = self.recognize_line_lstm if self.seq is not None else self.recognize_line
-        for buf in pixels:
+        # a line that fails to decode or recognize reads as empty
+        # (log-and-skip, recognize.py:227-232); the template path matches
+        # every decoded line of the batch in one ``match_lines`` call
+        empty = ("", 0.0, [], [])
+        imgs = []
+        for buf in batch["pixels"].to_pylist():
             try:
-                t, c, ws, gs = rec(decode_gray(buf))
+                imgs.append(decode_gray(buf))
             except Exception:
-                t, c, ws, gs = "", 0.0, [], []  # log-and-skip (recognize.py:227-232)
-            texts.append(t)
-            confs.append(c)
-            words_col.append(ws)
-            glyphs_col.append(gs)
+                imgs.append(None)
+        if self.seq is not None:
+            rows = []
+            for img in imgs:
+                try:
+                    rows.append(empty if img is None else self.recognize_line_lstm(img))
+                except Exception:
+                    rows.append(empty)
+        else:
+            matched = iter(match_lines([img for img in imgs if img is not None]))
+            rows = [empty if img is None else self._template_result(*next(matched), img.shape[0]) for img in imgs]
+        texts, confs, words_col, glyphs_col = ([row[i] for row in rows] for i in range(4))
         cols = {
             "doc_id": batch["doc_id"],  # preserve caller's id type
             "span_id": batch["span_id"],

@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..sources.media import decode_gray, encode_gray
-from .image_ops import binarize_global
+from .image_ops import binarize_global, binarize_stack
 
 
 def _gaps(profile: np.ndarray, min_gap: int) -> list[tuple[int, int]]:
@@ -637,29 +637,6 @@ def segment_page_seeds(
 MIN_LINE_GAP, MIN_COL_GAP, MIN_LINE_H = 3, 20, 4
 
 
-def _binary_pages(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """The XY cut's input rule over a white-padded uint8 stack: an
-    already-binary page (the chain binarizes upstream) skips the
-    redundant Otsu pass — thresholding a {0,255} page at any Otsu
-    threshold in (0,255) returns it unchanged — and is inverted when
-    mostly dark, mirroring ``binarize_global``'s inversion check (mean
-    without the padding: a binary page's is 255 · white / (h·w)); any
-    other page is Otsu-binarized."""
-    from .image_ops import _page_counts, binarize_stack
-
-    black, white = _page_counts(stack, hs, ws)
-    binary = black + white == hs * ws
-    dark = binary & (2 * white < hs * ws)
-    if binary.all() and not dark.any():
-        return stack
-    out = stack.copy()
-    for p in np.flatnonzero(dark):
-        out[p, : hs[p], : ws[p]] = 255 - stack[p, : hs[p], : ws[p]]
-    if not binary.all():
-        out[~binary] = binarize_stack(stack[~binary], hs[~binary], ws[~binary])
-    return out
-
-
 def _xy_cut(fg: np.ndarray, rows: np.ndarray, cols: np.ndarray, min_line_gap: int, min_col_gap: int, min_line_h: int) -> list[tuple[int, int, int, int]]:
     """Line boxes (y0, y1, x0, x1) of one page's ink mask ``fg`` (with
     its row and column ink profiles) by recursive XY cut, depth-first,
@@ -724,7 +701,7 @@ def segment_stack(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> list[lis
     white-padded uint8 stack: one input pass, one ink mask and one pair
     of profile sums for the whole stack (padding holds no ink), then
     the recursion per page."""
-    fg = _binary_pages(stack, hs, ws) < 128
+    fg = binarize_stack(stack, hs, ws) < 128
     rows, cols = (np.add.reduce(fg.view(np.uint8), axis=a, dtype=np.int32) for a in (2, 1))
     return [
         _xy_cut(fg[p, :h, :w], rows[p, :h], cols[p, :w], MIN_LINE_GAP, MIN_COL_GAP, MIN_LINE_H)
@@ -754,10 +731,7 @@ def segment_page(
             remove_separators=remove_separators,
             fullpage=fullpage,
         )
-    if img.dtype == np.uint8:
-        binary = _binary_pages(img[None], np.array(img.shape[:1]), np.array(img.shape[1:]))[0]
-    else:
-        binary = binarize_global(img)
+    binary = binarize_global(img)
     if remove_separators:
         # paint out long black rules (column dividers / hrules) so the
         # whitespace-gap cuts can see through them (remove_hlines +

@@ -59,21 +59,26 @@ def test_chain_runs_five_executions_without_sort(ray_session, sf_dir, chain_resu
 
 
 def test_wide_passes_take_one_bundle_per_cpu(ray_session):
-    """A pass runs one task per CPU of the session (4 here): the OCR
-    pass up to OCR_BATCH_PAGES pages a task, the passes over the wide
-    frame up to WIDE_BUNDLE_LINES lines."""
+    """A pass runs whole waves of one task per CPU of the session (4
+    here), as few as keep a task within its cap: the OCR pass up to
+    OCR_BATCH_PAGES pages a task, the passes over the wide frame up to
+    WIDE_BUNDLE_LINES lines; never more tasks than rows, at least 1."""
     import ray
 
-    from ocrd_cis_ray.pipelines.ocr_chain import OCR_BATCH_PAGES, WIDE_BUNDLE_LINES, _bundle
+    from ocrd_cis_ray.pipelines.ocr_chain import OCR_BATCH_PAGES, WIDE_BUNDLE_LINES, _n_bundles
 
     cpus = int(ray.cluster_resources()["CPU"])
     assert cpus > 1
     for cap in (WIDE_BUNDLE_LINES, OCR_BATCH_PAGES):
-        assert _bundle(cpus * cap - 1, cap) == cap
-        assert _bundle(cpus * cap + 1, cap) == cap
-        assert _bundle(0, cap) == 1
-    assert _bundle(576, WIDE_BUNDLE_LINES) == -(-576 // cpus)
-    assert _bundle(96, OCR_BATCH_PAGES) == -(-96 // cpus)
+        assert _n_bundles(cpus * cap, cap) == cpus
+        assert _n_bundles(cpus * cap + 1, cap) == 2 * cpus
+        assert _n_bundles(5 * cpus * cap - 1, cap) == 5 * cpus
+        assert _n_bundles(cpus - 1, cap) == cpus - 1
+        assert _n_bundles(0, cap) == 1
+        for n in (1, cap, cpus * cap + 1, 7 * cpus * cap // 2):
+            assert -(-n // _n_bundles(n, cap)) <= cap
+    assert _n_bundles(576, WIDE_BUNDLE_LINES) == cpus
+    assert _n_bundles(96, OCR_BATCH_PAGES) == cpus
 
 
 def test_page_bundles_are_one_task_each(ray_session, tmp_path):

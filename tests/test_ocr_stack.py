@@ -297,7 +297,7 @@ def test_stack_kernels_match_the_per_page_kernels(batch):
                 assert (s[i, h:] == 255).all() and (s[i, :, w:] == 255).all()
         crops = [clean[i, y0:y1, x0:x1] for i, bs in enumerate(boxes) for y0, y1, x0, x1 in bs]
         crops += [p for p in pages]  # whole pages as lines: margins, specks, gray
-        got = [text for text, _, _ in match_lines(crops, *template_bank())]
+        got = [text for text, _, _ in match_lines(crops)]
         assert got == [_oracle_recognize(c) for c in crops]
 
 

@@ -285,6 +285,38 @@ def test_recognizer_glyph_spans():
         assert float(w["conf"]) == pytest.approx((min(gconfs) + max(gconfs)) / 2)
 
 
+def test_recognizer_batch_matches_each_line():
+    """A batch is matched in one call, and each row is what its line
+    gives alone: lines of different heights and widths, skewed and
+    specked ones, an ink-trimmed crop, a blank line and a payload that
+    does not decode (empty row)."""
+    lines = [
+        render_line("the quick brown fox"),
+        render_line("ab", skew_deg=1.0, noise=4, seed=3),
+        render_line("Xyz 0.9;", intruder=True),
+        render_line("hello world", noise=9, seed=5)[3:-2, 10:],
+        np.full((30, 12), 255, np.uint8),
+        render_line("a b c")[:, :40],
+    ]
+    bufs = [encode_gray(im) for im in lines]
+    bufs.insert(2, b"not a raw-gray payload")
+    batch = pa.table({"doc_id": [str(i) for i in range(len(bufs))], "span_id": ["l"] * len(bufs),
+                      "pixels": pa.array(bufs, pa.large_binary())})
+    for kw in ({}, {"text_only": True}, {"emit_glyphs": True}):
+        r = Recognizer(**kw)
+        got = r(batch).to_pylist()
+        want = [r.recognize_line(im) for im in lines]
+        want.insert(2, ("", 0.0, [], []))
+        assert [row["text"] for row in got] == [w[0] for w in want]
+        assert [row["conf"] for row in got] == [np.float32(w[1]) for w in want]
+        if not kw.get("text_only"):
+            one = r(batch.slice(0, 1)).to_pylist() + r(batch.slice(1, 1)).to_pylist()
+            assert [row["words"] for row in got[:2]] == [row["words"] for row in one]
+            assert got[0]["text"] == "the quick brown fox"
+        if kw.get("emit_glyphs"):
+            assert [len(row["glyphs"]) for row in got] == [len(w[3]) for w in want]
+
+
 def test_recognizer_glyph_stage(ray_session):
     """The recognition stage exposes the glyphs column when asked and
     keeps the q71 schema unchanged otherwise."""
