@@ -9,16 +9,21 @@ OCR engine recognize → align → profile/post-correct → stats):
       → preprocessing (binarize → despeckle)          │ (pages, h, w)
       → line segmentation (recursive XY cut)          │ stack, both
       → line recognition                              │ channels
-      → n-way join of OCR sources + GT (page-local)   ┘
-      → channel model (confusions) and ranker training
+      → n-way join of OCR sources + GT (page-local)   │
+      → per-batch token counts, per-line confusions   │
+        and ranker triples                            ┘
+      → lexicon, channel model (confusions) and       [driver, over the
+        ranker training                                materialized blocks]
       → post-correction of the worst source           [tasks, per-worker state]
       → per-source CER before and after correction    [partials + driver sum]
 
 The render runs inside the OCR task, so page media never leaves it:
 the rows that cross the object store are (doc_id, text) rows in and
-text lines out. ``run_ocr_chain`` makes five Dataset executions and no
-exchange: the read splits the (doc_id, text) rows into whole waves of
-one block per CPU inside the read task. Every stage runs as plain Ray
+text lines, with their statistics, out. ``run_ocr_chain`` makes two
+Dataset executions and no exchange: the read splits the (doc_id, text)
+rows into whole waves of one block per CPU inside the read task, and
+the statistics between the two executions are reduced on the driver
+from the materialized OCR output. Every stage runs as plain Ray
 Data tasks on the session's warm workers: the chain starts no
 processes per run, and no stage holds a CPU that the tasks downstream
 of it need. GT lines are derived from the same deterministic page
@@ -39,20 +44,20 @@ LINES_PER_PAGE = 6
 DEGRADE_SEED = 42
 WORDS_PER_LINE = 8
 # Each task pays a fixed Ray cost that outweighs the work of a few
-# hundred lines or a few pages, so the OCR execution and the passes over
-# the materialized wide frame (confusions, ranker examples, correction
-# + CER) each run in whole waves of one task per CPU (``_n_bundles``),
-# as few as keep a task under the caps below; no result depends on the
-# block layout. Too few waves leave a straggler tail: the per-page OCR
-# stage that preceded the page stack took 11.8 s with 2xCPU blocks
-# against 9.9 s with 6xCPU (sf0.1, 32 CPUs). Too many tasks cost more:
+# hundred lines or a few pages, so the OCR execution and the pass over
+# the materialized wide frame (correction + CER) each run in whole
+# waves of one task per CPU (``_n_bundles``), as few as keep a task
+# under the caps below; no result depends on the block layout. Too few
+# waves leave a straggler tail: the per-page OCR stage that preceded
+# the page stack took 11.8 s with 2xCPU blocks against 9.9 s with 6xCPU
+# (sf0.1, 32 CPUs). Too many tasks cost more:
 # at sf0.1 on 4 CPUs, the OCR execution took 13.2 s in 316 tasks of 16
 # pages, 7.6 s in 80 of 64 and 7.1 s in 20 of 250 (with 19 % more
 # peak memory).
 # most pages per OCR task: a channel holds a (pages, h, w) uint8 stack,
 # about 100 KB a page, plus a few stack-sized temporaries
 OCR_BATCH_PAGES = 64
-# most wide-frame lines per task of a pass over the wide frame
+# most wide-frame lines per task of the correction + CER pass
 WIDE_BUNDLE_LINES = 4096
 
 
@@ -445,13 +450,78 @@ class DualChannelOCR:
 
 def _ocr_wide_batch(batch: pa.Table) -> pa.Table:
     """The chain's OCR task: (doc_id, text) rows → rendered pages → the
-    wide line frame (``ocr_pages``). The page media lives and dies in
-    this task."""
+    wide line frame (``ocr_pages``), plus what the chain's statistics
+    need (``_with_statistics``). The page media lives and dies in this
+    task."""
     from ..stages.image_ops import stack_pages
 
     texts = batch["text"].to_pylist()
     stack = stack_pages([compose_page(page_lines(t)) for t in texts])
-    return ocr_pages([str(d) for d in batch["doc_id"].to_pylist()], texts, *stack)
+    return _with_statistics(ocr_pages([str(d) for d in batch["doc_id"].to_pylist()], texts, *stack), batch)
+
+
+def _with_statistics(wide: pa.Table, batch: pa.Table) -> pa.Table:
+    """The wide frame of the (doc_id, text) rows ``batch`` with three
+    list<struct> columns for ``_statistics``:
+
+    - ``lexicon``: the batch's (w, c) token counts over the full
+      document texts (``textops._token_count_partials``), on the first
+      row (every page has at least one line row);
+    - ``confusions``: each line's (OCR-2, GT) character confusions
+      (``postcorrect.line_confusions``), under a deterministic 25 %
+      content-hash sample that bounds the O(len²) edit alignments and
+      does not depend on the block layout (the model is a rate
+      estimate);
+    - ``triples``: each line's (OCR-2 token, OCR-1 peer, GT token)
+      triples (``postcorrect.line_triples``), in-lexicon keys included."""
+    from ..stages.postcorrect import line_confusions, line_triples
+    from ..stages.textops import _token_count_partials
+
+    counts = _token_count_partials(batch, col="text")
+    at_first = [0] + [counts.num_rows] * wide.num_rows
+    lexicon = pa.ListArray.from_arrays(pa.array(at_first, pa.int32()), counts.to_struct_array().combine_chunks())
+    ocr1, ocr2, gt = (wide[c].to_pylist() for c in ("OCR-1", "OCR-2", "GT"))
+    return (
+        wide.append_column("lexicon", lexicon)
+        .append_column("confusions", line_confusions(ocr2, gt, 0.25))
+        .append_column("triples", line_triples(ocr2, ocr1, gt, 1.0))
+    )
+
+
+def _wide_frame(sf_dir: str):
+    """The materialized OCR execution: ``_ocr_wide_batch`` over the page
+    bundles of ``documents.parquet`` (``_text_bundles``)."""
+    texts, pages_per_batch = _text_bundles(sf_dir)
+    return texts.map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=pages_per_batch).materialize()
+
+
+def _statistics(wide) -> tuple[dict, dict, np.ndarray | None]:
+    """(lexicon, confusions, ranker) from the statistics columns of the
+    materialized wide frame (``_with_statistics``). The driver reads the
+    blocks once (no Dataset execution) and reduces them as
+    ``token_frequencies``, ``learn_confusions`` and ``train_ranker`` do:
+
+    - lexicon: the corpus vocabulary (the reference's language dict),
+      top-V truncated (``textops.reduce_token_counts``);
+    - confusions: the channel model learned from the sampled
+      OCR-2-vs-GT pairs (``postcorrect.reduce_confusions``);
+    - ranker: the learned re-ranker + decision maker over candidate
+      features (rank/distance/frequency/peer agreement — the
+      reference's profiler-free rrFeatures/dmFeatures subset,
+      data/config.json: 15-215) trained on every GT'd line; its
+      model-selection gate falls back to the fixed vote (None) unless
+      the learned decision beats it (``postcorrect.reduce_ranker``)."""
+    from ..stages.postcorrect import entry_counts, list_rows, reduce_confusions, reduce_ranker
+    from ..stages.textops import reduce_token_counts
+
+    lex, conf, trips = [], [], []
+    for block in wide.iter_batches(batch_format="pyarrow", batch_size=None):
+        lex.append(list_rows(block["lexicon"]))
+        conf.append(entry_counts(block["confusions"], ["src", "dst"]))
+        trips.append(entry_counts(block["triples"], ["key", "peer", "gt"]))
+    lexicon = reduce_token_counts(lex, top_v=200_000).to_dict()
+    confusions = reduce_confusions(conf)
+    return lexicon, confusions, reduce_ranker(trips, lexicon, confusions)
 
 
 _cer_partials_wide = cer_partials_wide  # the name perfbench's traced replay imports
@@ -479,23 +549,22 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     'raw' row per OCR source and one 'postcorrected' row for OCR-2
     (the noisier engine — the reference corrects the aligned master).
 
-    Five Dataset executions and no exchange:
+    Two Dataset executions and no exchange:
 
-    1. lexicon: per-batch token counts, summed on the driver
-       (``textops.token_frequencies``);
-    2. pages → wide frame: the read splits the (doc_id, text) rows into
-       whole waves of one bundle per CPU, each of at most
-       ``OCR_BATCH_PAGES`` pages (``_text_bundles``); one task per
-       bundle renders them and runs both OCR channels over the page
-       stack (``_ocr_wide_batch``), and the (doc_id, line_no, OCR-1,
-       OCR-2, GT) frame is materialized;
-    3. confusions learned from OCR-2-vs-GT pairs;
-    4. ranker examples;
-    5. line correction and every CER partial (raw OCR-1, raw OCR-2,
-       corrected OCR-2) in one pass, summed by one ``cer_reduce``.
+    1. pages → wide frame + statistics: the read splits the (doc_id,
+       text) rows into whole waves of one bundle per CPU, each of at
+       most ``OCR_BATCH_PAGES`` pages (``_text_bundles``); one task per
+       bundle renders them, runs both OCR channels over the page stack
+       and adds the statistics columns (``_ocr_wide_batch``), and the
+       (doc_id, line_no, OCR-1, OCR-2, GT, lexicon, confusions,
+       triples) frame is materialized. The driver then reads its blocks
+       once and derives the lexicon, the confusions and the ranker
+       (``_statistics``);
+    2. line correction and every CER partial (raw OCR-1, raw OCR-2,
+       corrected OCR-2) in one pass over the wide frame, in whole waves
+       of one bundle per CPU, each of at most ``WIDE_BUNDLE_LINES``
+       lines (``_n_bundles``), summed by one ``cer_reduce``.
 
-    Passes 3-5 read the wide frame in whole waves of one bundle per
-    CPU, each of at most ``WIDE_BUNDLE_LINES`` lines (``_n_bundles``).
     With ``out_dir``, the corrected lines are materialized and written
     as a resumable stage output first.
 
@@ -506,29 +575,13 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     No actor pool: the chain starts no processes per run and finishes on
     a 1-CPU session.
     """
-    import ray.data as rd
+    from ..stages.postcorrect import correct_lines
 
-    from ..stages.postcorrect import correct_lines, learn_confusions, train_ranker
-    from ..stages.textops import token_frequencies
-
-    # lexicon from the corpus vocabulary (the reference's language
-    # dict), top-V truncated
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    lexicon = token_frequencies(docs, top_v=200_000).to_dict()
-    texts, pages_per_batch = _text_bundles(sf_dir)
-    wide = texts.map_batches(_ocr_wide_batch, batch_format="pyarrow", batch_size=pages_per_batch).materialize()
+    wide = _wide_frame(sf_dir)
+    lexicon, confusions, ranker = _statistics(wide)
 
     n_lines = wide.count()
     bundle = max(1, -(-n_lines // _n_bundles(n_lines, WIDE_BUNDLE_LINES)))
-
-    def wide_pass(project):
-        return wide.map_batches(project, batch_format="pyarrow", batch_size=bundle)
-
-    def to_pairs(t: pa.Table) -> pa.Table:
-        return pa.table({"text": t["OCR-2"], "gt_text": t["GT"]})
-
-    def to_train(t: pa.Table) -> pa.Table:
-        return pa.table({"text": t["OCR-2"], "peer_text": t["OCR-1"], "gt_text": t["GT"]})
 
     def to_correct(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -536,22 +589,11 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
              "peer_text": t["OCR-1"], "GT": t["GT"]}
         )
 
-    # channel model learned from OCR-2-vs-GT pairs; a deterministic 25 %
-    # content-hash sample bounds the O(len²) edit alignments and is
-    # independent of the block layout (the model is a rate estimate)
-    confusions = learn_confusions(wide_pass(to_pairs), sample_rate=0.25)
-
-    # learned re-ranker + decision maker over candidate features
-    # (rank/distance/frequency/peer agreement — the reference's
-    # profiler-free rrFeatures/dmFeatures subset, data/config.json:
-    # 15-215) trained on every GT'd line; train_ranker's model-selection
-    # gate falls back to the fixed vote unless the learned decision
-    # beats it on the training sample
-    ranker = train_ranker(wide_pass(to_train), lexicon, confusions, sample_rate=1.0)
-
     # line-level correction as tasks (cursor matcher + nOCR peer vote
     # per token; no token-level shuffle)
-    fixed = correct_lines(wide_pass(to_correct), lexicon, confusions, ranker=ranker)
+    fixed = correct_lines(
+        wide.map_batches(to_correct, batch_format="pyarrow", batch_size=bundle), lexicon, confusions, ranker=ranker
+    )
 
     write_stats = None
     if out_dir is not None:

@@ -92,10 +92,14 @@ def stack_pages(pages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _page_counts(stack: np.ndarray, hs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(black, white) pixel counts of every page of a white-padded uint8
-    stack, padding excluded; a page is binary iff they sum to h·w."""
+    stack, padding excluded; a page is binary iff they sum to h·w.
+    Page by page, so no stack-sized mask: black is what ``count_nonzero``
+    leaves over, white needs one page-sized mask at a time."""
     flat = stack.reshape(len(stack), -1)
     n_pad = flat.shape[1] - hs * ws
-    return _row_counts(flat == 0), _row_counts(flat == 255) - n_pad
+    black = flat.shape[1] - np.array([np.count_nonzero(row) for row in flat], np.int64)
+    white = np.array([np.count_nonzero(row == 255) for row in flat], np.int64)
+    return black, white - n_pad
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

@@ -44,19 +44,24 @@ EVAL_COUNTERS = ["n_lines", "gt_chars", "char_errors", "gt_words", "words_recogn
 
 
 def sum_partials(partials, keys: list[str], sums: list[str]) -> pd.DataFrame:
-    """Driver-side sum of a Dataset of partial rows: the integer
-    ``sums`` columns summed per ``keys`` group, as a pandas frame sorted
-    by the keys (typed, with no rows, when no block holds a row).
+    """Driver-side sum of partial rows, from a Dataset or from Arrow
+    tables the driver already holds: the integer ``sums`` columns summed
+    per ``keys`` group, as a pandas frame sorted by the keys (typed,
+    with no rows, when no block holds a row).
 
     The partials hold a few rows per block, so streaming the blocks to
     the driver (``iter_batches``) replaces a Ray all-to-all, whose fixed
     cost is about 2 s whatever the row count. The driver holds one block
     and the running sums, and raises ``TooManyGroups`` before it would
     hold more than ``MAX_GROUPS`` groups."""
+    from ray.data import Dataset
+
     acc: dict[tuple, list[int]] = {}
     # batch_size=None: one batch per block; Ray drops 0-row blocks, which
     # may lack the columns, before they get here
-    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+    if isinstance(partials, Dataset):
+        partials = partials.iter_batches(batch_format="pyarrow", batch_size=None)
+    for b in partials:
         key_cols = [b[k].to_pylist() for k in keys]
         sum_cols = [b[c].to_pylist() for c in sums]
         for i in range(b.num_rows):

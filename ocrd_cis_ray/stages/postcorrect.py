@@ -305,161 +305,147 @@ class LineCorrector(PostCorrector):
 
 
 # ---------------------------------------------------------------------------
-# channel-model learning (confusion extraction from aligned pairs)
+# training statistics: per-line kernels and their driver reduces. The OCR
+# chain runs the kernels inside its OCR task and reduces the task output
+# on the driver; ``learn_confusions`` and ``train_ranker`` run the same
+# kernels over a Dataset of line pairs and reduce the same way.
 
 
-def confusion_partials_batch(
-    batch: pa.Table,
-    *,
-    test_col: str = "text",
-    gt_col: str = "gt_text",
-    max_pairs: int | None = None,
-    sample_rate: float | None = None,
-) -> pa.Table:
-    """Per-batch (src, dst, n) confusion counts from edit alignments of
-    (ocr, gt) line pairs — the xlevenshtein confusion extraction
-    (ocrolib/edist.py:21-83) as a distributed partial aggregate.
+def _content_sample(keys: list[str], sample_rate: float) -> np.ndarray:
+    """Keep mask of a deterministic content-hash sample: a row is kept
+    iff the hash of its key clears ``sample_rate``, whatever rows share
+    its batch. ``categorize=False``: the categorizing path compares
+    object strings as C strings, so keys that share the text before a
+    NUL would all take the hash of the batch's first such key."""
+    h = pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False) % (1 << 32)
+    return h < int(sample_rate * (1 << 32))
+
+
+def _list_array(offsets: list[int], **fields: pa.Array) -> pa.Array:
+    """One list<struct<fields>> entry per consecutive ``offsets`` range."""
+    values = pa.StructArray.from_arrays(list(fields.values()), names=list(fields))
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
+
+
+def line_confusions(texts: list, gts: list, sample_rate: float | None) -> pa.Array:
+    """The (src, dst, n) character confusions of each (ocr, gt) line
+    pair's edit alignment — the xlevenshtein confusion extraction
+    (ocrolib/edist.py:21-83) — as a list<struct<src, dst, n>> array with
+    one entry per line.
 
     Bounding the O(len²) alignments (the channel model saturates after
-    a few thousand pairs): ``sample_rate`` keeps a pair iff its content
-    hash clears a threshold — DETERMINISTIC and independent of batch
-    layout, so the learned model (and everything downstream) is
-    byte-stable across runs; corpus-scale callers shrink the rate with
-    corpus size. ``max_pairs`` (first-N differing per batch) is kept
-    for explicit hard bounding but depends on block layout — prefer
-    sample_rate anywhere reruns must agree."""
-    test = batch[test_col].to_pylist()
-    gt = batch[gt_col].to_pylist()
-    if sample_rate is not None and len(test):
-        thr = int(sample_rate * (1 << 32))
-        h = pd.util.hash_array(
-            np.asarray([(t or "") + "\x00" + (g or "") for t, g in zip(test, gt)],
-                       dtype=object)
-        ) % (1 << 32)
-        keep = h < thr
-        test = [t for t, k in zip(test, keep) if k]
-        gt = [g for g, k in zip(gt, keep) if k]
-    counts: Counter = Counter()
-    aligned = 0
-    for t, g in zip(test, gt):
-        t, g = t or "", g or ""
-        if t == g:
-            continue
-        if max_pairs is not None and aligned >= max_pairs:
-            break
-        aligned += 1
-        _, pairs = edit_ops(t, g)
-        for ai, bi in pairs:
-            a = t[ai] if ai is not None else ""
-            b = g[bi] if bi is not None else ""
-            if a != b:
-                counts[(a, b)] += 1
-    items = sorted(counts.items())
-    return pa.table(
-        {
-            "src": pa.array([k[0] for k, _ in items], pa.string()),
-            "dst": pa.array([k[1] for k, _ in items], pa.string()),
-            "n": pa.array([v for _, v in items], pa.int64()),
-        }
+    a few thousand pairs): with ``sample_rate``, a pair is aligned iff
+    the content hash of its two texts clears the rate
+    (``_content_sample``), so the sample does not depend on which pairs
+    share a batch. Unsampled and exact lines give an empty entry."""
+    texts = [t or "" for t in texts]
+    gts = [g or "" for g in gts]
+    keep = [True] * len(texts)
+    if sample_rate is not None and texts:
+        keep = _content_sample([t + "\x00" + g for t, g in zip(texts, gts)], sample_rate).tolist()
+    src, dst, n, offsets = [], [], [], [0]
+    for t, g, k in zip(texts, gts, keep):
+        if k and t != g:
+            counts: Counter = Counter()
+            _, pairs = edit_ops(t, g)
+            for ai, bi in pairs:
+                a = t[ai] if ai is not None else ""
+                b = g[bi] if bi is not None else ""
+                if a != b:
+                    counts[(a, b)] += 1
+            for (a, b), c in counts.items():
+                src.append(a)
+                dst.append(b)
+                n.append(c)
+        offsets.append(len(src))
+    return _list_array(offsets, src=pa.array(src, pa.string()), dst=pa.array(dst, pa.string()), n=pa.array(n, pa.int64()))
+
+
+def line_triples(texts: list, peers: list, gts: list, sample_rate: float) -> pa.Array:
+    """Per OCR line, the (key, peer, gt) triple of each of its tokens,
+    as a list<struct<key, peer, gt>> array with one entry per line: the
+    cleaned token, and the cleaned peer-engine and GT tokens that the
+    advancing cursor (``align.match_cursor``) matches to it (peer ""
+    when the peer match gives up). A token with an empty key or GT token
+    has no triple, and neither has a line whose GT match gives up.
+
+    The kernel needs no lexicon: it also gives in-lexicon keys, which
+    ``reduce_ranker`` drops. With ``sample_rate`` < 1, a line is used
+    iff the content hash of its text clears the rate."""
+    from ..stages.align import match_cursor
+
+    keep = [True] * len(texts)
+    if sample_rate < 1.0 and len(texts):
+        keep = _content_sample([t or "" for t in texts], sample_rate).tolist()
+    out_key, out_peer, out_gt, offsets = [], [], [], [0]
+    for text, peer, gt, k in zip(texts, peers, gts, keep):
+        words = text.split(" ") if (k and text) else []
+        keys = [clean_token(w) for w in words]
+        gtoks = gt.split(" ") if (gt and any(keys)) else []
+        gmatched = match_cursor(words, gtoks) if gtoks else None
+        if gmatched is not None:
+            ptoks = peer.split(" ") if peer else []
+            matched = match_cursor(words, ptoks) if ptoks else None
+            for wn, key in enumerate(keys):
+                gt_tok = clean_token(gtoks[gmatched[wn]]) if key else ""
+                if gt_tok:
+                    out_key.append(key)
+                    out_peer.append(clean_token(ptoks[matched[wn]]) if matched is not None else "")
+                    out_gt.append(gt_tok)
+        offsets.append(len(out_key))
+    return _list_array(
+        offsets,
+        key=pa.array(out_key, pa.string()),
+        peer=pa.array(out_peer, pa.string()),
+        gt=pa.array(out_gt, pa.string()),
     )
 
 
-class RankerExampleUDF(PostCorrector):
-    """Batch callable: (text, peer_text, gt_text) line rows -> per-candidate
-    (features, label) training rows for the learned ranker. Labels come
-    from the cursor-aligned GT token (the reference trains its
-    rank/decision models on GT-profiled candidates, aio/aio.py:617-627,
-    data/config.json rrFeatures)."""
+def list_rows(lists) -> pa.Table:
+    """The entries of a list<struct> column as the rows of a table."""
+    import pyarrow.compute as pc
 
-    def __init__(self, *args, sample_rate: float = 1.0, **kw):
-        super().__init__(*args, **kw)
-        self.sample_rate = sample_rate
-        self._example_cache: dict[tuple, tuple] = {}
-        self._tok_ids: dict[tuple, int] = {}
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()  # a column may hold no chunk
+    return pa.Table.from_struct_array(pc.list_flatten(lists))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        from ..stages.align import match_cursor
 
-        texts = batch["text"].to_pylist()
-        peers = (
-            batch["peer_text"].to_pylist()
-            if "peer_text" in batch.column_names
-            else [""] * len(texts)
-        )
-        gts = batch["gt_text"].to_pylist()
-        if self.sample_rate < 1.0 and len(texts):
-            thr = int(self.sample_rate * (1 << 32))
-            h = pd.util.hash_array(
-                np.asarray([(t or "") for t in texts], dtype=object)
-            ) % (1 << 32)
-            keep = h < thr
-            texts = [t for t, k in zip(texts, keep) if k]
-            peers = [p for p, k in zip(peers, keep) if k]
-            gts = [g for g, k in zip(gts, keep) if k]
-        feats: list[np.ndarray] = []
-        labels: list[float] = []
-        trips: list[tuple] = []  # the triple of each example group
-        new_trips: list[tuple] = []
-        for text, peer, gt in zip(texts, peers, gts):
-            words = (text or "").split(" ") if text else []
-            if not words:
-                continue
-            keys = [clean_token(w or "") for w in words]
-            # lines with zero suspicious (OOV) tokens produce zero
-            # examples — skip BOTH cursor alignments for them
-            if not any(k and k not in self.lexicon for k in keys):
-                continue
-            ptoks = (peer or "").split(" ") if peer else []
-            gtoks = (gt or "").split(" ") if gt else []
-            matched = match_cursor(words, ptoks) if ptoks else None
-            gmatched = match_cursor(words, gtoks) if gtoks else None
-            if gmatched is None:
-                continue
-            for wn, key in enumerate(keys):
-                if not key or key in self.lexicon:
-                    continue
-                gt_tok = clean_token(gtoks[gmatched[wn]] or "")
-                if not gt_tok:
-                    continue
-                peer_key = clean_token(ptoks[matched[wn]] or "") if matched is not None else ""
-                # triple cache: candidate generation + features are
-                # deterministic in (key, peer, gt), and OCR errors
-                # repeat — extraction cost scales with DISTINCT triples
-                # (the train_ranker driver dedups again anyway)
-                trip = (key, peer_key, gt_tok)
-                hit = self._example_cache.get(trip)
-                if hit is None:
-                    cands = self.merged_candidates(key, peer_key)
-                    if not cands:
-                        self._example_cache[trip] = ()
-                        continue
-                    F = self.cand_features(key, peer_key, cands, include_keep=True)
-                    lab = [1.0 if c[0] == gt_tok else 0.0 for c in cands]
-                    lab.append(1.0 if key == gt_tok else 0.0)  # keep row
-                    hit = (F, lab)
-                    self._example_cache[trip] = hit
-                    new_trips.append(trip)
-                elif hit == ():
-                    continue
-                F, lab = hit
-                feats.append(F)
-                labels.extend(lab)
-                trips.append(trip)
-        if new_trips:
-            # every new triple's group id in one hash call; categorize=False
-            # hashes each string as a call over that string alone does
-            # (the categorizing path gives other values to strings with NULs)
-            keys = np.asarray([f"{k}\x00{p}\x00{g}" for k, p, g in new_trips], dtype=object)
-            self._tok_ids.update(zip(new_trips, pd.util.hash_array(keys, categorize=False).tolist()))
-        if feats:
-            X = np.concatenate(feats)
-        else:
-            X = np.zeros((0, len(self.RANKER_FEATURES)), np.float64)
-        tok_ids = np.repeat(np.asarray([self._tok_ids[t] for t in trips], np.uint64), [len(F) for F in feats])
-        cols = {f"f_{name}": pa.array(X[:, i]) for i, name in enumerate(self.RANKER_FEATURES)}
-        cols["label"] = pa.array(np.asarray(labels, np.float64))
-        cols["tok_id"] = pa.array(tok_ids)
-        return pa.table(cols)
+def entry_counts(lists, keys: list[str]) -> pa.Table:
+    """The entries of a list<struct> column (``line_confusions``,
+    ``line_triples``) as (*keys, n) rows, one per distinct key: their
+    ``n`` summed, or counted when they have none."""
+    t = list_rows(lists)
+    if "n" in t.column_names:
+        out = t.group_by(keys).aggregate([("n", "sum")])
+        n = out["n_sum"]
+    else:
+        out = t.group_by(keys).aggregate([([], "count_all")])
+        n = out["count_all"]
+    return pa.table({**{k: out[k] for k in keys}, "n": n})
+
+
+def _confusion_partials(batch: pa.Table, *, test_col: str, gt_col: str, sample_rate: float | None) -> pa.Table:
+    lists = line_confusions(batch[test_col].to_pylist(), batch[gt_col].to_pylist(), sample_rate)
+    return entry_counts(lists, ["src", "dst"])
+
+
+def _triple_partials(batch: pa.Table, *, sample_rate: float) -> pa.Table:
+    texts = batch["text"].to_pylist()
+    peers = batch["peer_text"].to_pylist() if "peer_text" in batch.column_names else [""] * len(texts)
+    lists = line_triples(texts, peers, batch["gt_text"].to_pylist(), sample_rate)
+    return entry_counts(lists, ["key", "peer", "gt"])
+
+
+def reduce_confusions(partials) -> dict[tuple[str, str], float]:
+    """(src, dst, n) confusion partials — a Dataset, or a list of Arrow
+    tables the driver holds — summed on the driver
+    (``metrics.sum_partials``) → the channel model for PostCorrector:
+    weight = count / total edits, in (src, dst) order."""
+    from .metrics import sum_partials
+
+    agg = sum_partials(partials, ["src", "dst"], ["n"])
+    total = max(1, int(agg["n"].sum()))
+    return {(a, b): float(c) / total for a, b, c in zip(agg["src"], agg["dst"], agg["n"])}
 
 
 # Once-per-worker state for task stages: the caller broadcasts the
@@ -536,54 +522,68 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, *, iters: int = 300, lr: float =
     return w
 
 
-def train_ranker(
-    lines_ds,
-    lexicon: dict[str, int],
-    confusions=None,
-    *,
-    sample_rate: float = 1.0,
-    min_examples: int = 20,
-    **pc_kwargs,
-):
+def train_ranker(lines_ds, lexicon: dict[str, int], confusions=None, *, sample_rate: float = 1.0, min_examples: int = 20):
     """Train the candidate re-ranker on GT'd line rows
-    (text, peer_text, gt_text): distributed feature extraction as plain
-    Ray Data tasks over the session's warm workers (PostCorrector state
-    — lexicon index + channel model — broadcast once via ray.put and
-    rebuilt at most once per worker process), bounded by a
-    deterministic content-hash line sample, then a driver-side logistic
-    fit over the (small, ≤ max_candidates rows per suspicious token)
-    example table.
-
-    Returns the weight vector for ``PostCorrector(ranker=...)``, or
-    None when examples are too few/degenerate OR when the learned
-    argmax decision does not beat the fixed top-candidate vote on the
-    training sample (model selection: never ship a ranker worse than
-    the rule it replaces). Examples are dedup-grouped by token triple
-    and lexsorted before fitting, so the weights are byte-stable across
-    block layouts."""
-    import ray
+    (text, peer_text, gt_text): the token triples of every line
+    (``line_triples``, bounded by a deterministic content-hash line
+    sample) counted per batch in plain Ray Data tasks, then
+    ``reduce_ranker`` on the driver. Returns its weights or None."""
     from functools import partial
 
-    # task-based extraction (no actor pool): state broadcast once,
-    # rebuilt at most once per (already-warm) worker process
-    state_ref = ray.put(((lexicon, confusions), {"sample_rate": sample_rate, **pc_kwargs}))
-    ex = lines_ds.map_batches(
-        partial(_stage_batch, cls=RankerExampleUDF, state_ref=state_ref),
-        batch_format="pyarrow",
-        batch_size=512,
-    ).to_pandas()
-    if len(ex) < min_examples:
+    partials = lines_ds.map_batches(partial(_triple_partials, sample_rate=sample_rate), batch_format="pyarrow")
+    tables = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
+    return reduce_ranker(tables, lexicon, confusions, min_examples=min_examples)
+
+
+def reduce_ranker(partials: list[pa.Table], lexicon: dict[str, int], confusions=None, *, min_examples: int = 20):
+    """Driver-side ranker fit from (key, peer, gt, n) triple counts
+    (``entry_counts`` of ``line_triples``): in-lexicon keys dropped,
+    the rest summed per distinct triple (``metrics.sum_partials``).
+    Each distinct triple's candidates and features (``merged_candidates``,
+    ``cand_features``) are computed once; labels come from its GT token
+    (the reference trains its rank/decision models on GT-profiled
+    candidates, aio/aio.py:617-627, data/config.json rrFeatures). Then
+    a logistic fit over one example group per distinct triple, in
+    lexsorted order, so the weights are byte-stable across block
+    layouts.
+
+    Returns the weight vector for ``PostCorrector(ranker=...)``, or
+    None when the examples of all occurrences number fewer than
+    ``min_examples`` or have one label, OR when the learned argmax
+    decision does not beat the fixed top-candidate vote on the training
+    sample (model selection: never ship a ranker worse than the rule it
+    replaces)."""
+    import pyarrow.compute as pc
+
+    from .metrics import sum_partials
+
+    if not partials:
         return None
-    # one example group per distinct (token, peer, gt) triple: repeated
-    # occurrences would both bias the fit and break layout determinism
-    ex = ex.sort_values([c for c in ex.columns]).drop_duplicates(
-        subset=["tok_id", "f_rank", "f_is_keep"], keep="first"
-    )
-    y = ex["label"].to_numpy(np.float64)
+    trips = pa.concat_tables(partials)
+    in_lex = pc.is_in(trips["key"], value_set=pa.array(list(lexicon), pa.string()))
+    trips = sum_partials([trips.filter(pc.invert(in_lex))], ["key", "peer", "gt"], ["n"])
+    pcor = PostCorrector(lexicon, confusions)
+    feats: list[np.ndarray] = []
+    labels: list[float] = []
+    names: list[str] = []
+    n_examples = 0
+    for key, peer, gt, n in zip(trips["key"], trips["peer"], trips["gt"], trips["n"]):
+        cands = pcor.merged_candidates(key, peer)
+        if not cands:
+            continue
+        feats.append(pcor.cand_features(key, peer, cands, include_keep=True))
+        labels.extend(1.0 if c[0] == gt else 0.0 for c in cands)
+        labels.append(1.0 if key == gt else 0.0)  # keep row
+        names.append(f"{key}\x00{peer}\x00{gt}")
+        n_examples += int(n) * (len(cands) + 1)
+    if n_examples < min_examples or not feats:
+        return None
+    y = np.asarray(labels, np.float64)
     if y.min() == y.max():
         return None  # single class: nothing to learn
-    tok = ex["tok_id"].to_numpy(np.uint64)
-    X = ex.drop(columns=["label", "tok_id"]).to_numpy(np.float64)
+    X = np.concatenate(feats)
+    # a triple's group id: the hash of its key, peer and GT token
+    tok = np.repeat(pd.util.hash_array(np.asarray(names, dtype=object), categorize=False), [len(F) for F in feats])
     order = np.lexsort(tuple(X[:, i] for i in range(X.shape[1] - 1, -1, -1)) + (tok,))
     X, y, tok = X[order], y[order], tok[order]
     w = _fit_logistic(X, y)
@@ -622,34 +622,18 @@ def learn_confusions(
     *,
     test_col: str = "text",
     gt_col: str = "gt_text",
-    max_pairs_per_batch: int | None = None,
     sample_rate: float | None = None,
 ) -> dict[tuple[str, str], float]:
-    """Distributed confusion-weight estimation: partial counts per batch
-    → small groupby sum → normalized weights (count / total edits).
-    Returns the channel model dict for PostCorrector."""
-    from functools import partial as fpartial
+    """Distributed confusion-weight estimation: per-batch (src, dst, n)
+    counts of ``line_confusions`` in plain Ray Data tasks, then
+    ``reduce_confusions`` on the driver. The partials are
+    ALPHABET-bounded (≤ |charset|² rows per batch, ~10² in practice),
+    so a driver sum beats a Ray sort-aggregate's ~2 s fixed all-to-all
+    cost. Returns the channel model dict for PostCorrector."""
+    from functools import partial
 
     partials = pairs_ds.map_batches(
-        fpartial(
-            confusion_partials_batch,
-            test_col=test_col,
-            gt_col=gt_col,
-            max_pairs=max_pairs_per_batch,
-            sample_rate=sample_rate,
-        ),
+        partial(_confusion_partials, test_col=test_col, gt_col=gt_col, sample_rate=sample_rate),
         batch_format="pyarrow",
     )
-    # partials are map-side combined and ALPHABET-bounded (≤ |charset|²
-    # rows per batch, ~10² in practice), so the reduce input is
-    # O(batches × confusion pairs) tiny rows — a driver pandas sum
-    # beats a Ray sort-aggregate's ~2 s fixed all-to-all overhead. At
-    # extreme block counts, callers bound the input with
-    # max_pairs_per_batch (the estimate is a rate; sampling is exact
-    # in expectation).
-    agg = partials.to_pandas()
-    if agg.empty or "n" not in agg.columns:
-        return {}  # clean channel: no confusions observed
-    agg = agg.groupby(["src", "dst"], as_index=False)["n"].sum()
-    total = max(1, int(agg["n"].sum()))
-    return {(r.src, r.dst): float(r.n) / total for r in agg.itertuples()}
+    return reduce_confusions(partials)

@@ -293,33 +293,45 @@ def token_frequencies(ds, *, col: str = "text", top_v: int | None = None) -> pd.
     (index = token, value = count, ordered by count desc, then token
     asc), safe to ``ray.put`` and broadcast.
 
-    The combiner pattern: per-batch value_counts partials, materialized
-    once and summed on the driver (``metrics.sum_partials``): no
-    exchange, whose fixed cost dwarfs counting a small vocabulary. Only
-    a vocabulary of more than ``metrics.MAX_GROUPS`` distinct tokens,
-    which the driver sum refuses to hold, falls back to ONE bucketed
-    hash aggregate over the same materialized partials; the exchange
-    moves at most (batches × per-batch vocab) rows, never the token
-    stream.
-
-    ``top_v`` truncates to the V most frequent tokens; ties at the
-    boundary break deterministically (count desc, token asc). On the
-    exchange path each aggregated block contributes only its local
-    top-V candidates (each token lives in exactly one block after the
-    hash aggregate, so the global top-V is a subset of their union), so
-    driver memory is O(blocks × V), independent of vocabulary size.
-    Tokens outside the map are "rare by definition"; callers treat
-    misses as count 0 (or a floor of their choosing).
+    The combiner pattern: per-batch value_counts partials
+    (``_token_count_partials``), materialized once and reduced by
+    ``reduce_token_counts``. ``top_v`` truncates to the V most frequent
+    tokens; ties at the boundary break deterministically (count desc,
+    token asc). Tokens outside the map are "rare by definition"; callers
+    treat misses as count 0 (or a floor of their choosing).
     """
+    from functools import partial
+
+    partials = ds.map_batches(partial(_token_count_partials, col=col), batch_format="pyarrow").materialize()
+    return reduce_token_counts(partials, top_v)
+
+
+def reduce_token_counts(partials, top_v: int | None) -> pd.Series:
+    """(w, c) token-count partials — a materialized Dataset, or a list of
+    Arrow tables the driver holds — summed on the driver
+    (``metrics.sum_partials``): no exchange, whose fixed cost dwarfs
+    counting a small vocabulary. Only a vocabulary of more than
+    ``metrics.MAX_GROUPS`` distinct tokens, which the driver sum refuses
+    to hold, falls back to ONE bucketed hash aggregate over the same
+    partials; the exchange moves at most (batches × per-batch vocab)
+    rows, never the token stream. On that path each aggregated block
+    contributes only its local top-V candidates (each token lives in
+    exactly one block after the hash aggregate, so the global top-V is a
+    subset of their union), so driver memory is O(blocks × V),
+    independent of vocabulary size. Returns the ``token_frequencies``
+    Series."""
     from functools import partial
 
     from ..shuffle import bucketed_aggregate
     from . import metrics
 
-    partials = ds.map_batches(partial(_token_count_partials, col=col), batch_format="pyarrow").materialize()
     try:
         freq = metrics.sum_partials(partials, ["w"], ["c"])
     except metrics.TooManyGroups:
+        if isinstance(partials, list):
+            import ray.data as rd
+
+            partials = rd.from_arrow(partials)
         freq_ds = bucketed_aggregate(partials, "w", {"c": ("c", "sum")})
         if top_v is not None:
             freq_ds = freq_ds.map_batches(partial(_top_tokens, top_v=top_v), batch_format="pandas")

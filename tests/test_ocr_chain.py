@@ -47,15 +47,86 @@ def test_chain_deterministic(ray_session, sf_dir, chain_result):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_chain_runs_five_executions_without_sort(ray_session, sf_dir, chain_result, executed_plans):
-    """The chain makes at most five Dataset executions (lexicon, pages →
-    wide frame, confusions, ranker examples, correction + CER) and no
-    all-to-all: the read splits the text rows into page bundles, and no
-    Sort counts the vocabulary. Same output as the module's first run."""
+def test_chain_runs_two_executions_without_sort(ray_session, sf_dir, chain_result, executed_plans):
+    """The chain makes at most two Dataset executions (pages → wide
+    frame with its statistics, correction + CER) and no all-to-all: the
+    read splits the text rows into page bundles, and the lexicon,
+    confusions and ranker are reduced on the driver from the
+    materialized blocks. Same output as the module's first run."""
     again = run_ocr_chain(sf_dir)
-    assert 0 < len(executed_plans) <= 5, executed_plans
+    assert 0 < len(executed_plans) <= 2, executed_plans
     assert not [plan for plan in executed_plans if "AllToAllOperator" in plan], executed_plans
     pd.testing.assert_frame_equal(chain_result, again)
+
+
+def _reference_statistics(sf_dir, wide):
+    """The lexicon, confusions and ranker through the Dataset-path
+    functions, over the chain's wide frame."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.stages.postcorrect import learn_confusions, train_ranker
+    from ocrd_cis_ray.stages.textops import token_frequencies
+
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    lexicon = token_frequencies(docs, top_v=200_000).to_dict()
+    pairs = wide.map_batches(lambda t: pa.table({"text": t["OCR-2"], "gt_text": t["GT"]}), batch_format="pyarrow")
+    confusions = learn_confusions(pairs, sample_rate=0.25)
+    lines = wide.map_batches(
+        lambda t: pa.table({"text": t["OCR-2"], "peer_text": t["OCR-1"], "gt_text": t["GT"]}), batch_format="pyarrow"
+    )
+    return lexicon, confusions, train_ranker(lines, lexicon, confusions, sample_rate=1.0)
+
+
+def _assert_same_statistics(got, want):
+    (lex, conf, ranker), (lex_want, conf_want, ranker_want) = got, want
+    assert list(lex.items()) == list(lex_want.items())  # order included
+    assert list(conf.items()) == list(conf_want.items())
+    assert (ranker is None) == (ranker_want is None)
+    if ranker is not None:
+        assert ranker.tobytes() == ranker_want.tobytes()
+
+
+def test_chain_statistics_match_the_dataset_path(ray_session, sf_dir):
+    """The lexicon, confusions and ranker that the driver derives from
+    the OCR execution's blocks equal ``token_frequencies``,
+    ``learn_confusions`` and ``train_ranker`` over the same wide frame."""
+    from ocrd_cis_ray.pipelines.ocr_chain import _statistics, _wide_frame
+
+    wide = _wide_frame(sf_dir)
+    got = _statistics(wide)
+    assert got[0] and got[1] and got[2] is not None
+    _assert_same_statistics(got, _reference_statistics(sf_dir, wide))
+
+
+def test_chain_lexicon_takes_the_exchange_past_max_groups(ray_session, tmp_path, monkeypatch, executed_plans):
+    """Past ``metrics.MAX_GROUPS`` distinct tokens the chain's lexicon
+    falls back to ``token_frequencies``' exchange and still equals it,
+    order included. The documents carry many words past the rendered
+    page, so the vocabulary outgrows the confusion and triple groups."""
+    import itertools
+
+    import pyarrow as pa
+
+    from ocrd_cis_ray.pipelines.ocr_chain import LINES_PER_PAGE, WORDS_PER_LINE, _statistics, _wide_frame
+    from ocrd_cis_ray.stages import metrics
+
+    shown = "the quick brown fox jumps over the lazy dog".split(" ")
+    filler = ["".join(p) for p in itertools.product("abcdefgh", repeat=3)]
+    texts = [
+        " ".join([shown[(d + i) % len(shown)] for i in range(LINES_PER_PAGE * WORDS_PER_LINE)] + filler[d::3])
+        for d in range(3)
+    ]
+    pq.write_table(pa.table({"doc_id": [0, 1, 2], "text": texts}), str(tmp_path / "documents.parquet"))
+    # at most one triple per rendered word
+    limit = 3 * LINES_PER_PAGE * WORDS_PER_LINE
+    monkeypatch.setattr(metrics, "MAX_GROUPS", limit)
+    wide = _wide_frame(str(tmp_path))
+    del executed_plans[:]
+    got = _statistics(wide)
+    assert any("AllToAllOperator" in p for p in executed_plans), executed_plans
+    assert len(got[0]) > limit >= len(got[1])
+    _assert_same_statistics(got, _reference_statistics(str(tmp_path), wide))
 
 
 def test_wide_passes_take_one_bundle_per_cpu(ray_session):

@@ -111,6 +111,22 @@ def test_learn_confusions(ray_session):
     assert conf.get(("c", "o")) == pytest.approx(0.5)
 
 
+def test_confusion_sample_is_per_pair(ray_session):
+    """The content-hash sample keeps or drops each (ocr, gt) pair on its
+    own content: two pairs with the same OCR text and different GT get
+    the decisions they get apart, together and in reversed order."""
+    import ray.data as rd
+
+    dropped, kept = {"text": "ab", "gt_text": "xb"}, {"text": "ab", "gt_text": "az"}
+
+    def learn(rows):  # one block: the rows share a batch
+        return learn_confusions(rd.from_arrow(pa.Table.from_pylist(rows)), sample_rate=0.5)
+
+    assert learn([dropped]) == {}
+    assert learn([kept]) == {("b", "z"): 1.0}
+    assert learn([dropped, kept]) == learn([kept, dropped]) == {("b", "z"): 1.0}
+
+
 def test_full_ocr_chain(ray_session):
     """render (with noise) → recognize tasks → postcorrect tasks: the
     reference's recognize→align→postcorrect flow, single-source."""
@@ -218,6 +234,101 @@ def test_train_ranker_gate_falls_back(ray_session):
     # every GT is the rank-0 candidate -> fixed vote is already perfect
     perfect = [{"text": t, "peer_text": gt, "gt_text": gt} for t, gt in _ERR]
     assert train_ranker(rd.from_items(perfect), RANK_LEX) is None
+
+
+def _ranker_by_occurrence(rows, lexicon, min_examples):
+    """Ranker training as one example group per token occurrence, then
+    a sort and dedup per (tok_id, rank, keep) in pandas: the reference
+    for ``reduce_ranker``, which computes each distinct triple once."""
+    import pandas as pd
+
+    from ocrd_cis_ray.stages.align import match_cursor
+    from ocrd_cis_ray.stages.postcorrect import _fit_logistic, _selection_counts
+    from ocrd_cis_ray.util import clean_token
+
+    pcor = PostCorrector(lexicon)
+    feats, labels, toks = [], [], []
+    for r in rows:
+        words = r["text"].split(" ") if r["text"] else []
+        keys = [clean_token(w) for w in words]
+        if not any(k and k not in lexicon for k in keys):
+            continue
+        ptoks = r["peer_text"].split(" ") if r["peer_text"] else []
+        gtoks = r["gt_text"].split(" ") if r["gt_text"] else []
+        matched = match_cursor(words, ptoks) if ptoks else None
+        gmatched = match_cursor(words, gtoks) if gtoks else None
+        if gmatched is None:
+            continue
+        for wn, key in enumerate(keys):
+            gt_tok = clean_token(gtoks[gmatched[wn]]) if key and key not in lexicon else ""
+            if not gt_tok:
+                continue
+            peer = clean_token(ptoks[matched[wn]]) if matched is not None else ""
+            cands = pcor.merged_candidates(key, peer)
+            if not cands:
+                continue
+            feats.append(pcor.cand_features(key, peer, cands, include_keep=True))
+            labels += [1.0 if c[0] == gt_tok else 0.0 for c in cands] + [1.0 if key == gt_tok else 0.0]
+            name = np.asarray([f"{key}\x00{peer}\x00{gt_tok}"], dtype=object)
+            toks += [pd.util.hash_array(name, categorize=False)[0]] * (len(cands) + 1)
+    if len(labels) < min_examples:
+        return None
+    ex = pd.DataFrame(np.concatenate(feats), columns=[f"f_{n}" for n in PostCorrector.RANKER_FEATURES])
+    ex["label"] = labels
+    ex["tok_id"] = np.asarray(toks, np.uint64)
+    ex = ex.sort_values(list(ex.columns)).drop_duplicates(subset=["tok_id", "f_rank", "f_is_keep"], keep="first")
+    y = ex["label"].to_numpy(np.float64)
+    if y.min() == y.max():
+        return None
+    tok = ex["tok_id"].to_numpy(np.uint64)
+    X = ex.drop(columns=["label", "tok_id"]).to_numpy(np.float64)
+    order = np.lexsort(tuple(X[:, i] for i in range(X.shape[1] - 1, -1, -1)) + (tok,))
+    X, y, tok = X[order], y[order], tok[order]
+    w = _fit_logistic(X, y)
+    groups, fixed_ok, learned_ok = _selection_counts(tok, X @ w, y, (X[:, 1] == 0.0) & (X[:, 7] == 0.0))
+    return w if groups and learned_ok > fixed_ok else None
+
+
+_TRUTH = {**{t: gt for t, gt in _ERR}, **{w: w for w in list(RANK_LEX) + _KEEP}}
+_WORDS = sorted(_TRUTH) + ["Hello,", "x1", "wxrld."]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(["truth", "same", "none", "extra"]), st.booleans()), max_size=5),
+        max_size=14,
+    ),
+    st.integers(1, 3),
+    st.integers(1, 60),
+)
+def test_ranker_matches_the_per_occurrence_reference(lines, repeats, min_examples):
+    """``reduce_ranker`` over the per-batch triple counts gives the
+    weights (or the None) of the per-occurrence reference: the same
+    ``min_examples`` count over all occurrences (lines repeat), the same
+    example groups and order, the same fit and model selection."""
+    from ocrd_cis_ray.stages.postcorrect import _triple_partials, reduce_ranker
+    from ocrd_cis_ray.util import clean_token
+
+    rows = []
+    for line in lines:
+        truth = [_TRUTH.get(clean_token(w), w) for w, _, _ in line]
+        peer = []
+        for (w, how, _), t in zip(line, truth):
+            peer += {"truth": [t], "same": [w], "none": [], "extra": ["qq", t]}[how]
+        gt = [t if to_truth else w for (w, _, to_truth), t in zip(line, truth)]
+        rows.append({"text": " ".join(w for w, _, _ in line), "peer_text": " ".join(peer), "gt_text": " ".join(gt)})
+    rows *= repeats
+    half = len(rows) // 2  # two batches
+    parts = [_triple_partials(pa.Table.from_pylist(rs, schema=_LINE_SCHEMA), sample_rate=1.0) for rs in (rows[:half], rows[half:])]
+    for m in (1, min_examples):
+        got = reduce_ranker(parts, RANK_LEX, min_examples=m)
+        want = _ranker_by_occurrence(rows, RANK_LEX, m)
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+
+
+_LINE_SCHEMA = pa.schema([("text", pa.string()), ("peer_text", pa.string()), ("gt_text", pa.string())])
 
 
 def test_worker_state_builds_once_per_ref_and_holds_no_ref(ray_session):
