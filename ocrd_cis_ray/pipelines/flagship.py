@@ -39,14 +39,15 @@ def extract_pipeline(sf_dir: str, *, pages_per_doc: int = 1, seed: int = 42):
 
 def materialize_corpus(sf_dir: str, out_dir: str, *, pages_per_doc: int = 1, seed: int = 42, files: int = 256) -> str:
     """Write the raw interleaved corpus to partitioned parquet once —
-    the bench/production input layout (many files ⇒ the read itself
-    parallelizes, unlike on-the-fly synthesis from one source file).
+    the bench/production input layout (many files ⇒ the read I/O
+    spreads over files, unlike on-the-fly synthesis from one source
+    file).
 
-    256 files: single-row-group files cannot be split below file
-    granularity by the reader, so the file count IS the downstream
-    block count — 64 files gave the 32-cpu evaluate a 2-wave
-    straggler tail. A cached dir with a DIFFERENT file count is
-    regenerated (the count is the layout contract)."""
+    The file count does not set the downstream block count:
+    ``read_corpus`` reads in whole waves of one task per CPU, sized
+    from the row count in the parquet footers. A cached dir with a
+    DIFFERENT file count is regenerated (the count is the layout
+    contract)."""
     import os
     import shutil
 
@@ -65,7 +66,8 @@ def materialize_corpus(sf_dir: str, out_dir: str, *, pages_per_doc: int = 1, see
 
 def corpus_extract_pipeline(corpus_dir: str):
     """read materialized corpus (Lance when available, else parquet —
-    sources/corpus_io dispatch) → extract/normalize spans."""
+    sources/corpus_io dispatch; parquet in whole waves of one task per
+    CPU) → extract/normalize spans."""
     from ..sources.corpus_io import read_corpus
 
     return extract(read_corpus(corpus_dir))
@@ -112,8 +114,8 @@ def corpus_evaluate_pipeline(corpus_dir: str, *, seed: int = 42, sources=("OCR-1
     Each block derives every source's variant of a document inside the
     block (``synth_variants_batch``), so the (doc_id, line_no) join is
     block-local and the run is one Dataset execution with no exchange.
-    Block granularity rides on the corpus file count (see
-    ``materialize_corpus``). Raises ValueError, before any Ray work,
+    The read runs in whole waves of one task per CPU (``read_corpus``),
+    whatever the corpus file count. Raises ValueError, before any Ray work,
     when ``sources`` has no "GT" to score against."""
     import ray.data as rd
 

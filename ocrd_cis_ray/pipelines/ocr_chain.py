@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.corpus_io import n_bundles, session_cpus
 from ..sources.media import encode_gray, render_line
 from ..stages.metrics import cer_partials_wide, cer_reduce
 from ..util import stable_hash64
@@ -46,7 +47,7 @@ WORDS_PER_LINE = 8
 # Each task pays a fixed Ray cost that outweighs the work of a few
 # hundred lines or a few pages, so the OCR execution and the pass over
 # the materialized wide frame (correction + CER) each run in whole
-# waves of one task per CPU (``_n_bundles``), as few as keep a task
+# waves of one task per CPU (``n_bundles``), as few as keep a task
 # under the caps below; no result depends on the block layout. Too few
 # waves leave a straggler tail: the per-page OCR stage that preceded
 # the page stack took 11.8 s with 2xCPU blocks against 9.9 s with 6xCPU
@@ -109,25 +110,11 @@ def render_pages(t: pa.Table) -> pa.Table:
     )
 
 
-def _session_cpus() -> int:
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8))
-
-
-def _n_bundles(n_rows: int, cap: int) -> int:
-    """Tasks of a pass over ``n_rows`` rows: whole waves of one task per
-    CPU, as few as keep a task at most ``cap`` rows, and never more
-    tasks than rows (at least 1)."""
-    cpus = _session_cpus()
-    return max(1, min(n_rows, cpus * -(-n_rows // (cpus * cap))))
-
-
 def _text_bundles(sf_dir: str):
     """(doc_id, text) rows of ``documents.parquet`` in page bundles;
     returns (dataset, batch size).
 
-    The read asks for one block per bundle (``_n_bundles`` with cap
+    The read asks for one block per bundle (``n_bundles`` with cap
     ``OCR_BATCH_PAGES``), so Ray splits the rows inside the read task
     and no exchange runs. The testdata files hold one row group each,
     so the reader alone cannot spread them over tasks. The split makes
@@ -138,7 +125,7 @@ def _text_bundles(sf_dir: str):
 
     path = f"{sf_dir}/documents.parquet"
     n = pds.dataset(path, format="parquet").count_rows()
-    k = _n_bundles(n, OCR_BATCH_PAGES)
+    k = n_bundles(n, OCR_BATCH_PAGES)
     ds = rd.read_parquet(path, columns=["doc_id", "text"], override_num_blocks=k)
     return ds, max(1, n // k)
 
@@ -153,7 +140,7 @@ def _text_rows(sf_dir: str):
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.repartition(max(16, 6 * _session_cpus()))
+    return ds.repartition(max(16, 6 * session_cpus()))
 
 
 def synth_pages(sf_dir: str, *, carry_text: bool = True):
@@ -196,7 +183,7 @@ def rebalance_pages(pages, *, n_partitions: int | None = None, threshold: float 
     from ..shuffle import weighted_ranges
 
     if n_partitions is None:
-        n_partitions = max(8, _session_cpus())
+        n_partitions = max(8, session_cpus())
 
     pages = pages.materialize()
 
@@ -563,7 +550,7 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     2. line correction and every CER partial (raw OCR-1, raw OCR-2,
        corrected OCR-2) in one pass over the wide frame, in whole waves
        of one bundle per CPU, each of at most ``WIDE_BUNDLE_LINES``
-       lines (``_n_bundles``), summed by one ``cer_reduce``.
+       lines (``n_bundles``), summed by one ``cer_reduce``.
 
     With ``out_dir``, the corrected lines are materialized and written
     as a resumable stage output first.
@@ -581,7 +568,7 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
     lexicon, confusions, ranker = _statistics(wide)
 
     n_lines = wide.count()
-    bundle = max(1, -(-n_lines // _n_bundles(n_lines, WIDE_BUNDLE_LINES)))
+    bundle = max(1, -(-n_lines // n_bundles(n_lines, WIDE_BUNDLE_LINES)))
 
     def to_correct(t: pa.Table) -> pa.Table:
         return pa.table(

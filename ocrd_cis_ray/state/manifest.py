@@ -11,8 +11,11 @@ one output directory per doc_id range partition, committed atomically
 resumed run lists committed partitions and skips WRITING them: it still
 recomputes the upstream Dataset once, because the partition bounds are
 drawn from a key sample of that Dataset, and it rewrites only the
-partitions that are missing or stale. A resume that reads only the
-uncommitted inputs needs input-keyed partitions (ROADMAP item 2).
+partitions that are missing or stale. A first write of
+``write_resumable`` is two Dataset executions (the upstream, then the
+write pass); a resume over a fully committed dir is the upstream
+alone. A resume that reads only the uncommitted inputs needs
+input-keyed partitions (ROADMAP item 2).
 
 Layout:
 
@@ -204,6 +207,19 @@ def partitioned_write_pass(
       coalesced to one file);
     - ``extra_rec(tmp_dir)`` adds sink-specific manifest fields.
 
+    The upstream is materialized once. Its partition bounds are the
+    quantiles of a key sample that the driver draws from the
+    materialized blocks (reading them starts no execution): every key
+    whose stable hash falls under 2**64 / stride, about
+    ``sample_limit`` keys, so the bounds depend on the key values alone
+    and not on the block layout (every key at <= ``sample_limit``
+    rows). A first write is then two Dataset executions, the upstream
+    and the write pass; a resume over a fully committed dir is the
+    upstream alone. Known limit: on a multi-node cluster the sample
+    pulls each block to the driver once (``ocr_chain._statistics`` does
+    the same); bounds from parquet footer statistics would not (ROADMAP
+    item 2).
+
     Writes proceed in parallel across the cluster instead of one
     driver-sequenced execution per partition (16 sequential executions
     measured 13 s for a 2 s write workload at sf0.1). A kill MID-PASS
@@ -213,42 +229,42 @@ def partitioned_write_pass(
     matches. An empty input unpublishes every committed partition.
     """
     import numpy as np
+    import pandas as pd
     import pyarrow as pa
-    import ray
 
     ds = ds.materialize()
-    # key sample in Arrow, one task per block and no exchange: every
-    # block contributes its rows 0, stride, 2*stride, ... so the sample
-    # holds at most sample_limit + one row per block keys and does not
-    # depend on the order in which blocks arrive (count() is metadata on
-    # a materialized Dataset). With <= sample_limit rows it is every key.
-    stride = max(1, -(-ds.count() // sample_limit))
+    n_rows = ds.count()  # metadata on a materialized Dataset
+    # the sample keeps each key whose hash falls under 2**64 / stride,
+    # so it depends on the key values alone: every key at stride 1
+    stride = max(1, -(-n_rows // sample_limit))
 
-    # a UDF, NOT ds.select_columns: Ray's map_groups emits schema-less
-    # EMPTY blocks for empty sort partitions, and the built-in Project
-    # operator raises KeyError on them
-    def _key_sample(t: pa.Table) -> pa.Table:
-        if key in t.column_names:
-            return t.select([key]).take(np.arange(0, t.num_rows, stride))
-        if t.num_rows == 0:
-            return t
-        raise KeyError(f"write key {key!r} missing from a non-empty block")
+    def _key_sample(t: pa.Table) -> pa.Array:
+        if key not in t.column_names:
+            raise KeyError(f"write key {key!r} missing from a non-empty block")
+        keys = t[key].combine_chunks()
+        if stride == 1:
+            return keys
+        hashes = pd.util.hash_array(keys.to_numpy(zero_copy_only=False), categorize=False)
+        return keys.filter(pa.array(hashes < np.uint64(2**64 // stride)))
 
-    sampled = ray.get(
-        ds.map_batches(_key_sample, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).to_arrow_refs()
-    )
-    # len(), not num_rows: an empty block the UDF never saw can come
-    # back as a pandas DataFrame
-    keys = [t[key] for t in sampled if len(t)]
+    # on the driver, over the materialized blocks: reading them starts
+    # no Dataset execution. Empty blocks are skipped: Ray's map_groups
+    # emits schema-less ones for empty sort partitions.
+    keys = [
+        k
+        for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows and len(k := _key_sample(t))
+    ]
     partitions: list[tuple] = []
     bounds: list = []
-    if keys:  # else all blocks are empty (e.g. every doc filtered)
-        sample = np.sort(pa.chunked_array(keys).to_numpy())
-        if stringify_key:
-            sample = np.asarray(sorted(str(x) for x in sample), dtype=object)
-        idx = [round(i * len(sample) / n_partitions) for i in range(1, n_partitions)]
-        bounds = sorted({sample[min(i, len(sample) - 1)] for i in idx})
-        bounds = [b.item() if isinstance(b, np.generic) else b for b in bounds]
+    if n_rows:  # else all blocks are empty (e.g. every doc filtered)
+        if keys:  # else one unbounded partition
+            sample = np.sort(pa.chunked_array(keys).to_numpy())
+            if stringify_key:
+                sample = np.asarray(sorted(str(x) for x in sample), dtype=object)
+            idx = [round(i * len(sample) / n_partitions) for i in range(1, n_partitions)]
+            bounds = sorted({sample[min(i, len(sample) - 1)] for i in idx})
+            bounds = [b.item() if isinstance(b, np.generic) else b for b in bounds]
         prev = None
         for b in bounds:
             partitions.append((prev, b))

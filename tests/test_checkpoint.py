@@ -259,6 +259,78 @@ def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path
     assert sorted(_part_doc_ids(out)) == list(range(500))
 
 
+def test_write_resumable_bounds_independent_of_block_split(ray_session, tmp_path):
+    """With more rows than sample_limit the partition bounds must not
+    depend on where the blocks split: the same rows in blocks of 50,
+    167 and 63 rows commit the same (lo, hi) manifests."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    t = pa.table({"doc_id": np.random.default_rng(3).permutation(500), "text": ["x"] * 500})
+    kw = dict(n_partitions=4, stage="s", input_fingerprint="f", sample_limit=50)
+    ranges = []
+    for size in (50, 167, 63):
+        out = str(tmp_path / f"sink{size}")
+        r = write_resumable(rd.from_arrow([t.slice(i, size) for i in range(0, 500, size)]), out, **kw)
+        assert r["rows"] == 500
+        assert sorted(_part_doc_ids(out)) == list(range(500))
+        ranges.append([(rec["lo"], rec["hi"]) for _, rec in sorted(completed_partitions(out).items())])
+    assert len(ranges[0]) > 1 and ranges[1] == ranges[0] and ranges[2] == ranges[0]
+
+
+def test_write_resumable_keeps_rows_when_the_key_sample_is_empty(ray_session, tmp_path):
+    """Past sample_limit the hash sample can keep no key at all; the
+    rows then go to one unbounded partition instead of being dropped."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    ids = np.arange(100)
+    # stride 2: keys whose hash is at or above 2**63 are left out
+    ids = ids[pd.util.hash_array(ids, categorize=False) >= np.uint64(2**63)][:2]
+    out = str(tmp_path / "sink")
+    r = write_resumable(rd.from_arrow(pa.table({"doc_id": ids, "text": ["x"] * 2})), out,
+                        n_partitions=4, stage="s", input_fingerprint="f", sample_limit=1)
+    assert r == {"completed": 1, "skipped": 0, "rows": 2}
+    assert sorted(_part_doc_ids(out)) == sorted(ids.tolist())
+    assert [(rec["lo"], rec["hi"]) for rec in completed_partitions(out).values()] == [(None, None)]
+
+
+def test_write_resumable_executions(ray_session, tmp_path, executed_plans):
+    """A first write runs the upstream once plus the write pass; a
+    resume over a fully committed dir runs the upstream alone. The
+    key sample reads the materialized blocks on the driver, so no
+    execution probes a schema (LimitOperator)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    t = pa.table({"doc_id": list(range(40)), "text": ["x"] * 40})
+    out = str(tmp_path / "sink")
+
+    def upstream():
+        return rd.from_arrow([t.slice(i, 10) for i in range(0, 40, 10)]).map_batches(
+            lambda b: b, batch_format="pyarrow"
+        )
+
+    r = write_resumable(upstream(), out, n_partitions=4, stage="s", input_fingerprint="f")
+    assert r == {"completed": 4, "skipped": 0, "rows": 40}
+    assert 0 < len(executed_plans) <= 2, executed_plans
+    assert not [p for p in executed_plans if "LimitOperator" in p], executed_plans
+    del executed_plans[:]
+    r = write_resumable(upstream(), out, n_partitions=4, stage="s", input_fingerprint="f")
+    assert r == {"completed": 0, "skipped": 4, "rows": 40}
+    assert len(executed_plans) == 1, executed_plans
+    assert "LimitOperator" not in executed_plans[0], executed_plans
+
+
 def test_write_resumable_kill_at_every_partition_boundary(ray_session, tmp_path, monkeypatch):
     """A kill after k of n commits: the rerun writes exactly the n - k
     missing partitions, skips the k committed ones, and publishes every

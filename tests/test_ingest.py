@@ -91,6 +91,21 @@ def test_corpus_io_dispatch(ray_session, sf_dir, tmp_path):
             read_corpus(str(tmp_path / "corpus.lance"))
 
 
+def test_corpus_read_runs_one_whole_wave(ray_session, sf_dir, tmp_path, executed_plans):
+    """A parquet corpus of 8 small files is read in one wave of one task
+    per CPU (4 in this session), not one task per file; a caller's own
+    block count wins."""
+    from ocrd_cis_ray.pipelines.flagship import corpus_extract_pipeline, materialize_corpus
+    from ocrd_cis_ray.sources.corpus_io import read_corpus
+
+    corpus = materialize_corpus(sf_dir, str(tmp_path / "corpus"), files=8)
+    del executed_plans[:]
+    docs = corpus_extract_pipeline(corpus).materialize()
+    assert len(executed_plans) == 1, executed_plans
+    assert docs.num_blocks() == 4 and docs.count() == 500
+    assert read_corpus(corpus, override_num_blocks=8).materialize().num_blocks() == 8
+
+
 # ---------------------------------------------------------------------------
 # PAGE-XML ingestion (reference align/cli.py:63-79,302-304 traversal)
 
