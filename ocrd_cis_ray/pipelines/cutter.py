@@ -117,7 +117,6 @@ def cut_training_lines(
     return write_resumable(
         lines,
         out_dir,
-        key="doc_id",
         n_partitions=n_partitions,
         stage="cut",
         input_fingerprint=f"{path_fingerprint(doc_path)}:lh{line_height}",

@@ -594,7 +594,6 @@ def run_ocr_chain(sf_dir: str, *, out_dir: str | None = None):
         write_stats = write_resumable(
             fixed,
             out_dir,
-            key="doc_id",
             stage="postcorrect",
             input_fingerprint=path_fingerprint(f"{sf_dir}/documents.parquet"),
         )

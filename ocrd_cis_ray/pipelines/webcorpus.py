@@ -79,7 +79,6 @@ def run_webcorpus(
     res = write_resumable(
         kept,
         out_dir,
-        key="doc_id",
         n_partitions=n_partitions,
         stage="webcorpus",
         input_fingerprint=f"{sf_dir}|gopher={sorted((gopher_kwargs or {}).items())}",

@@ -5,7 +5,7 @@ ocrd_cis/aio/aio.py:31-59,142-236: unpack GT zips, register page files
 in METS, rewrite references) maps to a one-shot Ray job:
 ``read_binary_files`` over a directory of raw page texts →
 parse/flatten into the interleaved span schema → resumable partitioned
-parquet write with per-partition manifests (state/manifest.py).
+parquet write with per-partition manifests (state/manifest.write_resumable).
 
 File convention here: one UTF-8 text file per page, name = doc_id; the
 payload's lines become line spans, words derived per recognize.py:237,
@@ -90,44 +90,23 @@ def ingest_pages(input_dir: str, *, format: str = "auto"):
 
 
 def ingest_resumable(input_dir: str, out_dir: str, *, n_partitions: int = 8) -> dict:
-    """Resumable ingest: partition the doc_id keyspace, write each range
-    atomically with a manifest row; a rerun skips committed ranges
-    (the reference's skip-if-output-exists resume, aio.py:269-271, at
-    per-partition granularity)."""
-    import pyarrow.compute as pc
+    """Resumable ingest: the parsed pages go through the one resumable
+    sink (``state.manifest.write_resumable``), which writes each doc_id
+    range atomically with a manifest row; a rerun skips committed
+    ranges (the reference's skip-if-output-exists resume,
+    aio.py:269-271, at per-partition granularity). The doc_id is the
+    file stem, so the bounds are the quantiles of the file names. The
+    fingerprint covers the file listing (names, sizes, mtimes): adding,
+    removing or touching an input file recomputes instead of serving
+    stale committed rows."""
+    from ..state.manifest import path_fingerprint, write_resumable
 
-    from ..state.manifest import path_fingerprint, run_partitioned
-
-    # sample the doc_id range from file names (driver-side, names only)
-    names = sorted(
-        os.path.splitext(f)[0] for f in os.listdir(input_dir) if not f.startswith(".")
-    )
-    if not names:
+    if all(f.startswith(".") for f in os.listdir(input_dir)):
         return {"completed": 0, "skipped": 0, "rows": 0}
-    bounds = [names[round(i * len(names) / n_partitions)] for i in range(1, n_partitions)]
-    ranges = []
-    prev = ""
-    for b in bounds:
-        ranges.append((prev, b))
-        prev = b
-    ranges.append((prev, ""))
-
-    def make_ds(lo, hi):
-        ds = ingest_pages(input_dir)
-
-        def in_range(t: pa.Table) -> pa.Table:
-            ids = t["doc_id"]
-            mask = pc.greater_equal(ids, lo) if lo else pc.equal(ids, ids)
-            if hi:
-                mask = pc.and_(mask, pc.less(ids, hi))
-            return t.filter(mask)
-
-        return ds.map_batches(in_range, batch_format="pyarrow")
-
-    # content fingerprint over the file LISTING (names+sizes+mtimes):
-    # adding/removing/touching an input file changes the fingerprint, so
-    # resume invalidates affected partitions instead of serving stale
-    # committed rows (the bounds are also re-derived from the listing
-    # and checked per-partition by run_partitioned)
-    fp = path_fingerprint(input_dir)
-    return run_partitioned(make_ds, out_dir, ranges, stage="ingest", input_fingerprint=fp)
+    return write_resumable(
+        ingest_pages(input_dir),
+        out_dir,
+        n_partitions=n_partitions,
+        stage="ingest",
+        input_fingerprint=path_fingerprint(input_dir),
+    )

@@ -31,6 +31,7 @@ import xml.etree.ElementTree as ET
 import pyarrow as pa
 
 from ..corpus import _build_spans
+from ..state.manifest import PartFormat, write_resumable
 from ..util import nfkc
 
 
@@ -297,6 +298,22 @@ def _write_mets(out_dir: str, file_group: str) -> int:
     return n
 
 
+def _write_page_xml_part(t: pa.Table, directory: str) -> None:
+    """One ``{doc_id}.xml`` per row: the doc_id is unique by schema, so
+    a task retry overwrites its own files."""
+    for did, spans in zip(t["doc_id"].to_pylist(), t["spans"].to_pylist()):
+        did = str(did)
+        with open(os.path.join(directory, f"{did}.xml"), "wb") as f:
+            f.write(spans_to_page_xml(did, spans))
+
+
+def _page_xml_dir_rows(directory: str) -> int:
+    return len([f for f in os.listdir(directory) if f.endswith(".xml")])
+
+
+PAGE_XML = PartFormat(_write_page_xml_part, _page_xml_dir_rows)
+
+
 def write_page_xml_corpus(
     ds,
     out_dir: str,
@@ -304,44 +321,23 @@ def write_page_xml_corpus(
     file_group: str = "OCR-D-OUT",
     n_partitions: int = 8,
     input_fingerprint: str = "",
-    sample_limit: int = 200_000,
 ) -> dict:
     """Resumable PAGE-XML corpus sink: one ``{doc_id}.xml`` per
     (doc_id, spans) row in range-partitioned ``part=NNNNN`` dirs, plus
-    one mets.xml registering the file group. The kill-safe resume
-    machinery (sampled bounds, committed-partition skip, .tmp sweep,
-    rename+manifest commit) is ``state.manifest.partitioned_write_pass``
-    — shared with write_resumable, NOT re-implemented here. File names
-    are the doc_id — unique by schema — so task retries overwrite their
-    own output.
+    one mets.xml registering the file group. The rows go through the
+    one resumable sink, ``state.manifest.write_resumable``, with the
+    ``PAGE_XML`` part format; the bounds, committed-partition skip,
+    .tmp sweep and rename + manifest commit are the sink's.
 
     Returns {"completed": k, "skipped": s, "rows": n, "mets_files": m}.
     """
-    from ..state.manifest import partitioned_write_pass
-
-    def write_batch(t, pids, skip_mask, tmp_dir_for, ids):
-        spans_col = t["spans"].to_pylist()
-        for i, (did, spans) in enumerate(zip(ids, spans_col)):
-            p = int(pids[i])
-            if skip_mask[p]:
-                continue
-            with open(os.path.join(tmp_dir_for(p), f"{did}.xml"), "wb") as f:
-                f.write(spans_to_page_xml(did, spans))
-
-    def rows_in_dir(tmp: str) -> int:
-        return len([f for f in os.listdir(tmp) if f.endswith(".xml")])
-
-    res = partitioned_write_pass(
+    res = write_resumable(
         ds,
         out_dir,
-        key="doc_id",
         n_partitions=n_partitions,
         stage=f"page-xml:{file_group}",
         input_fingerprint=input_fingerprint,
-        sample_limit=sample_limit,
-        write_batch=write_batch,
-        rows_in_dir=rows_in_dir,
-        stringify_key=True,
+        part_format=PAGE_XML,
     )
     res["mets_files"] = _write_mets(out_dir, file_group)
     return res

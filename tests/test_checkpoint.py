@@ -7,15 +7,15 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from ocrd_cis_ray.state import manifest
 from ocrd_cis_ray.state.manifest import (
     commit_partition,
     completed_partitions,
-    doc_id_ranges,
     partition_dir,
-    run_partitioned,
 )
 
 
@@ -24,92 +24,40 @@ def out_dir(tmp_path):
     return str(tmp_path / "stage_out")
 
 
-def _make_ds_factory(sf_dir, calls):
-    import ray.data as rd
-
-    import pyarrow.compute as pc
-
-    def make_ds(lo, hi):
-        calls.append((lo, hi))
-        ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-        def in_range(t):
-            ids = pc.cast(t["doc_id"], "string")
-            mask = pc.greater_equal(ids, lo) if lo else pc.equal(ids, ids)
-            if hi:
-                mask = pc.and_(mask, pc.less(ids, hi))
-            return t.filter(mask)
-
-        return ds.map_batches(in_range, batch_format="pyarrow")
-
-    return make_ds
-
-
-def test_doc_id_ranges_cover_keyspace():
-    ranges = doc_id_ranges(4)
-    assert ranges[0][0] == "" and ranges[-1][1] == ""
-    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-        assert hi == lo
-
-
-def test_run_and_resume(ray_session, sf_dir, out_dir):
-    calls: list = []
-    # partition driver doc_ids (stringified ints) into 4 lexicographic ranges
-    parts = [("", "2"), ("2", "4"), ("4", "7"), ("7", "")]
-    make_ds = _make_ds_factory(sf_dir, calls)
-
-    res1 = run_partitioned(make_ds, out_dir, parts, stage="extract", input_fingerprint="fp1")
-    assert res1["completed"] == 4 and res1["skipped"] == 0
-    total_rows = res1["rows"]
-    assert total_rows == 500  # all docs covered exactly once
-
-    # simulate a killed run: delete ONE partition's manifest + output
-    shutil.rmtree(partition_dir(out_dir, 2))
-    os.remove(os.path.join(out_dir, "_manifest", "00002.json"))
-
-    calls.clear()
-    res2 = run_partitioned(make_ds, out_dir, parts, stage="extract", input_fingerprint="fp1")
-    assert res2["completed"] == 1 and res2["skipped"] == 3
-    assert res2["rows"] == total_rows
-    # only the missing partition was recomputed
-    assert calls == [("4", "7")]
-
-    # all partition outputs readable, disjoint union == input
-    n = 0
-    for pid in range(4):
-        d = partition_dir(out_dir, pid)
-        for f in os.listdir(d):
-            if f.endswith(".parquet"):
-                n += pq.read_metadata(os.path.join(d, f)).num_rows
-    assert n == 500
-
-
-def test_resume_invalidates_on_changed_inputs_or_bounds(ray_session, sf_dir, out_dir):
+def test_write_resumable_invalidates_on_changed_inputs_or_bounds(ray_session, out_dir):
     """A committed partition is reused ONLY when fingerprint AND key
     range match; changed inputs or re-derived bounds recompute instead
     of silently serving stale rows."""
-    calls: list = []
-    parts = [("", "5"), ("5", "")]
-    make_ds = _make_ds_factory(sf_dir, calls)
-    run_partitioned(make_ds, out_dir, parts, stage="x", input_fingerprint="fpA")
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocrd_cis_ray.state.manifest import write_resumable
+
+    def write(ids, fp):
+        t = pa.table({"doc_id": ids, "text": ["x"] * len(ids)})
+        return write_resumable(rd.from_arrow(t), out_dir, n_partitions=4, stage="x", input_fingerprint=fp)
+
+    def ranges():
+        return [(rec["lo"], rec["hi"]) for _, rec in sorted(completed_partitions(out_dir).items())]
+
+    even = list(range(0, 80, 2))
+    assert write(even, "fpA") == {"completed": 4, "skipped": 0, "rows": 40}
+    assert ranges() == [(None, 20), (20, 40), (40, 60), (60, None)]
 
     # same fingerprint + same bounds -> all skipped
-    calls.clear()
-    r = run_partitioned(make_ds, out_dir, parts, stage="x", input_fingerprint="fpA")
-    assert r["skipped"] == 2 and calls == []
+    assert write(even, "fpA") == {"completed": 0, "skipped": 4, "rows": 40}
 
     # changed fingerprint -> full recompute
-    calls.clear()
-    r = run_partitioned(make_ds, out_dir, parts, stage="x", input_fingerprint="fpB")
-    assert r["completed"] == 2 and r["skipped"] == 0
-    assert len(calls) == 2
+    assert write(even, "fpB") == {"completed": 4, "skipped": 0, "rows": 40}
 
-    # changed bounds for one partition -> only that one recomputes
-    calls.clear()
-    parts2 = [("", "5"), ("5", "9")]  # second range re-derived differently
-    r = run_partitioned(make_ds, out_dir, parts2, stage="x", input_fingerprint="fpB")
-    assert r["completed"] == 1 and r["skipped"] == 1
-    assert calls == [("5", "9")]
+    # 40 -> 41 moves the bound between partitions 1 and 2: only the two
+    # partitions next to it recompute
+    moved = [41 if i == 40 else i for i in even]
+    kept = {p: completed_partitions(out_dir)[p] for p in (0, 3)}
+    assert write(moved, "fpB") == {"completed": 2, "skipped": 2, "rows": 40}
+    assert ranges() == [(None, 20), (20, 41), (41, 60), (60, None)]
+    assert {p: completed_partitions(out_dir)[p] for p in (0, 3)} == kept
+    assert sorted(_part_doc_ids(out_dir)) == moved
 
 
 def test_ingest_fingerprint_tracks_listing(tmp_path):
@@ -149,8 +97,7 @@ def test_write_resumable_generic_dataset(ray_session, sf_dir, tmp_path):
     def make():
         return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
 
-    r1 = write_resumable(make(), out, key="doc_id", n_partitions=4, stage="extract",
-                         input_fingerprint="fpX")
+    r1 = write_resumable(make(), out, n_partitions=4, stage="extract", input_fingerprint="fpX")
     assert r1["completed"] >= 3 and r1["rows"] == 500
 
     # simulate a kill: drop one committed partition + its manifest
@@ -159,8 +106,7 @@ def test_write_resumable_generic_dataset(ray_session, sf_dir, tmp_path):
     shutil.rmtree(partition_dir(out, pid))
     os.remove(os.path.join(out, "_manifest", victim))
 
-    r2 = write_resumable(make(), out, key="doc_id", n_partitions=4, stage="extract",
-                         input_fingerprint="fpX")
+    r2 = write_resumable(make(), out, n_partitions=4, stage="extract", input_fingerprint="fpX")
     assert r2["completed"] == 1 and r2["skipped"] == r1["completed"] - 1
     assert r2["rows"] == 500
 
@@ -196,7 +142,7 @@ def test_write_resumable_tolerates_schemaless_empty_blocks(ray_session, tmp_path
 
     mixed = base.groupby("grp").map_groups(keep_some, batch_format="pandas")
     out1 = str(tmp_path / "mixed")
-    r = write_resumable(mixed, out1, key="doc_id", n_partitions=4, stage="s", input_fingerprint="f")
+    r = write_resumable(mixed, out1, n_partitions=4, stage="s", input_fingerprint="f")
     assert r["rows"] == 20
 
     def keep_none(g: pd.DataFrame) -> pd.DataFrame:
@@ -204,7 +150,7 @@ def test_write_resumable_tolerates_schemaless_empty_blocks(ray_session, tmp_path
 
     empty = base.groupby("grp").map_groups(keep_none, batch_format="pandas")
     out2 = str(tmp_path / "empty")
-    r = write_resumable(empty, out2, key="doc_id", n_partitions=4, stage="s", input_fingerprint="f")
+    r = write_resumable(empty, out2, n_partitions=4, stage="s", input_fingerprint="f")
     assert r == {"completed": 0, "skipped": 0, "rows": 0}
 
 
@@ -238,8 +184,8 @@ def test_write_resumable_empty_rerun_unpublishes_stale_output(ray_session, tmp_p
     assert os.listdir(os.path.join(out, "_manifest")) == []
 
 
-def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path):
-    """With more rows than sample_limit the partition bounds must not
+def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path, monkeypatch):
+    """With more rows than SAMPLE_LIMIT the partition bounds must not
     depend on the order of the blocks: a rerun over the same rows in
     other blocks order skips every partition."""
     import numpy as np
@@ -251,7 +197,8 @@ def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path
     ids = np.random.default_rng(3).permutation(500)
     blocks = [pa.table({"doc_id": ids[i : i + 50], "text": ["x"] * 50}) for i in range(0, 500, 50)]
     out = str(tmp_path / "sink")
-    kw = dict(n_partitions=4, stage="s", input_fingerprint="f", sample_limit=50)
+    monkeypatch.setattr(manifest, "SAMPLE_LIMIT", 50)
+    kw = dict(n_partitions=4, stage="s", input_fingerprint="f")
     r1 = write_resumable(rd.from_arrow(blocks), out, **kw)
     assert r1["completed"] == 4 and r1["rows"] == 500
     r2 = write_resumable(rd.from_arrow(blocks[::-1]), out, **kw)
@@ -259,8 +206,8 @@ def test_write_resumable_bounds_independent_of_block_order(ray_session, tmp_path
     assert sorted(_part_doc_ids(out)) == list(range(500))
 
 
-def test_write_resumable_bounds_independent_of_block_split(ray_session, tmp_path):
-    """With more rows than sample_limit the partition bounds must not
+def test_write_resumable_bounds_independent_of_block_split(ray_session, tmp_path, monkeypatch):
+    """With more rows than SAMPLE_LIMIT the partition bounds must not
     depend on where the blocks split: the same rows in blocks of 50,
     167 and 63 rows commit the same (lo, hi) manifests."""
     import numpy as np
@@ -270,7 +217,8 @@ def test_write_resumable_bounds_independent_of_block_split(ray_session, tmp_path
     from ocrd_cis_ray.state.manifest import write_resumable
 
     t = pa.table({"doc_id": np.random.default_rng(3).permutation(500), "text": ["x"] * 500})
-    kw = dict(n_partitions=4, stage="s", input_fingerprint="f", sample_limit=50)
+    monkeypatch.setattr(manifest, "SAMPLE_LIMIT", 50)
+    kw = dict(n_partitions=4, stage="s", input_fingerprint="f")
     ranges = []
     for size in (50, 167, 63):
         out = str(tmp_path / f"sink{size}")
@@ -281,8 +229,8 @@ def test_write_resumable_bounds_independent_of_block_split(ray_session, tmp_path
     assert len(ranges[0]) > 1 and ranges[1] == ranges[0] and ranges[2] == ranges[0]
 
 
-def test_write_resumable_keeps_rows_when_the_key_sample_is_empty(ray_session, tmp_path):
-    """Past sample_limit the hash sample can keep no key at all; the
+def test_write_resumable_keeps_rows_when_the_key_sample_is_empty(ray_session, tmp_path, monkeypatch):
+    """Past SAMPLE_LIMIT the hash sample can keep no key at all; the
     rows then go to one unbounded partition instead of being dropped."""
     import numpy as np
     import pandas as pd
@@ -295,8 +243,9 @@ def test_write_resumable_keeps_rows_when_the_key_sample_is_empty(ray_session, tm
     # stride 2: keys whose hash is at or above 2**63 are left out
     ids = ids[pd.util.hash_array(ids, categorize=False) >= np.uint64(2**63)][:2]
     out = str(tmp_path / "sink")
+    monkeypatch.setattr(manifest, "SAMPLE_LIMIT", 1)
     r = write_resumable(rd.from_arrow(pa.table({"doc_id": ids, "text": ["x"] * 2})), out,
-                        n_partitions=4, stage="s", input_fingerprint="f", sample_limit=1)
+                        n_partitions=4, stage="s", input_fingerprint="f")
     assert r == {"completed": 1, "skipped": 0, "rows": 2}
     assert sorted(_part_doc_ids(out)) == sorted(ids.tolist())
     assert [(rec["lo"], rec["hi"]) for rec in completed_partitions(out).values()] == [(None, None)]
@@ -338,8 +287,6 @@ def test_write_resumable_kill_at_every_partition_boundary(ray_session, tmp_path,
     import pyarrow as pa
     import ray.data as rd
 
-    from ocrd_cis_ray.state import manifest
-
     t = pa.table({"doc_id": list(range(40)), "text": ["x"] * 40})
     blocks = [t.slice(i, 10) for i in range(0, 40, 10)]
     n = 4
@@ -363,3 +310,22 @@ def test_write_resumable_kill_at_every_partition_boundary(ray_session, tmp_path,
         assert r == {"completed": n - k, "skipped": k, "rows": 40}
         assert sorted(_part_doc_ids(out)) == list(range(40))
         assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+
+
+def test_parquet_part_writer_is_retry_safe(tmp_path):
+    """The parquet part writer names a file by its content: writing the
+    same batch twice, as a task retry does, leaves the same file set,
+    and two distinct batches with identical non-unique key sequences
+    leave two files."""
+    d = str(tmp_path)
+    a = pa.table({"doc_id": ["d1", "d1", "d2"], "text": ["a", "b", "c"]})
+    manifest.PARQUET.write(a, d)
+    first = sorted(os.listdir(d))
+    manifest.PARQUET.write(a, d)
+    assert sorted(os.listdir(d)) == first and len(first) == 1
+    b = pa.table({"doc_id": ["d1", "d1", "d2"], "text": ["x", "y", "z"]})
+    manifest.PARQUET.write(b, d)
+    assert len(os.listdir(d)) == 2
+    assert manifest.PARQUET.count_rows(d) == 6
+    rows = pa.concat_tables(pq.read_table(os.path.join(d, f)) for f in sorted(os.listdir(d)))
+    assert sorted(rows["text"].to_pylist()) == ["a", "b", "c", "x", "y", "z"]

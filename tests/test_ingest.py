@@ -52,6 +52,21 @@ def test_ingest_resumable_skips_done(ray_session, raw_dir, tmp_path):
     assert n == 12
 
 
+def test_ingest_resumable_executions(ray_session, raw_dir, tmp_path, executed_plans):
+    """Ingest goes through the one resumable sink: a first write reads
+    and parses the directory once and writes every partition in one
+    pass (one execution per partition before), and its bounds are the
+    quantiles of the file names."""
+    from ocrd_cis_ray.state.manifest import completed_partitions
+
+    out = str(tmp_path / "ingested")
+    r = ingest_resumable(raw_dir, out, n_partitions=4)
+    assert r == {"completed": 4, "skipped": 0, "rows": 12}
+    assert 0 < len(executed_plans) <= 2, executed_plans
+    ranges = [(rec["lo"], rec["hi"]) for _, rec in sorted(completed_partitions(out).items())]
+    assert ranges == [(None, "doc0003"), ("doc0003", "doc0006"), ("doc0006", "doc0009"), ("doc0009", None)]
+
+
 def test_external_ocr_importer_unions_into_alignment(ray_session, tmp_path):
     """External .pred.txt lines import as a variant source with the
     alignment schema; misnamed files are skipped (importer.py parity)."""
@@ -269,6 +284,12 @@ def test_page_xml_export_resume_skips_committed(ray_session, page_xml_dir, tmp_p
     second = write_page_xml_corpus(docs, out, n_partitions=2, input_fingerprint="v1")
     assert second["skipped"] == 1 and second["completed"] == 1
     assert second["rows"] == 3 and second["mets_files"] == 3
+    # the one sink records the bytes on disk for every part format
+    from ocrd_cis_ray.state.manifest import completed_partitions
+
+    for pid, rec in completed_partitions(out).items():
+        xml = os.listdir(f"{out}/part={pid:05d}")
+        assert rec["bytes"] == sum(os.path.getsize(f"{out}/part={pid:05d}/{f}") for f in xml) > 0
 
 
 def test_spans_to_page_xml_indexed_text_equivs():
