@@ -2236,7 +2236,7 @@ def q113_eval_rollup(sf_dir: str):
 
 def q79_error_types(sf_dir: str):
     """Per-error-class breakdown (reference div/eval.py per-model error
-    accounting + the confusion extraction in util.edit_ops): counts per
+    accounting + the confusion extraction in util.edit_confusions): counts per
     (source, gt_char, ocr_char) from the full DP alignment backtrace —
     substitutions (g,p), deletions (g,''), insertions ('',p). The SQL
     oracle recomputes the counts from the corruption structure; the

@@ -256,12 +256,12 @@ def error_type_partials(
     batch: pa.Table, *, sources: tuple[str, ...], gt_col: str = "GT"
 ) -> pa.Table:
     """Per-block confusion-class counts from the full DP alignment
-    backtrace (util.edit_ops, the reference's per-error-type breakdown
-    intent in div/eval.py): substitutions carry (gt_char, ocr_char),
-    deletions (gt_char, ''), insertions ('', ocr_char)."""
+    backtrace (``util.edit_confusions``, the reference's per-error-type
+    breakdown intent in div/eval.py): substitutions carry (gt_char,
+    ocr_char), deletions (gt_char, ''), insertions ('', ocr_char)."""
     from collections import Counter
 
-    from ..util import edit_ops
+    from ..util import edit_confusions
 
     gt = batch[gt_col].to_pylist()
     counts: Counter = Counter()
@@ -272,15 +272,8 @@ def error_type_partials(
             p = p or ""
             if g == p:
                 continue  # fast path: no error ops
-            _, pairs = edit_ops(g, p)
-            for gi, pi in pairs:
-                if gi is not None and pi is not None:
-                    if g[gi] != p[pi]:
-                        counts[(src, g[gi], p[pi])] += 1
-                elif pi is None:
-                    counts[(src, g[gi], "")] += 1
-                else:
-                    counts[(src, "", p[pi])] += 1
+            for (x, y), c in edit_confusions(g, p).items():
+                counts[(src, x, y)] += c
     keys = sorted(counts)
     return pa.table(
         {

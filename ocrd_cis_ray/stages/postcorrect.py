@@ -27,13 +27,12 @@ This native reimplementation:
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..util import clean_token, edit_ops
+from ..util import clean_token, edit_confusions, edit_ops
 
 
 def _deletes(word: str, max_dist: int) -> set[str]:
@@ -93,24 +92,22 @@ class PostCorrector:
     # -- candidate generation ("profiler") --------------------------------
 
     def candidates(self, token: str) -> list[tuple[str, int, float]]:
-        """(suggestion, distance, weight) top-k for a suspicious token."""
-        from ..util import lev_within, levenshtein
-
-        seen: dict[str, int] = {}
-        for d in _deletes(token, self.max_dist):
-            for w in self.index.get(d, ()):
-                if w not in seen and lev_within(token, w, self.max_dist):
-                    seen[w] = levenshtein(token, w)
+        """(suggestion, distance, weight) top-k for a suspicious token:
+        one ``edit_ops`` DP per indexed word, whose distance keeps it iff
+        ≤ ``max_dist`` and whose script scores it. The index holds every
+        word within ``max_dist`` (both then reach a common string in ≤
+        ``max_dist`` deletes)."""
         scored = []
-        for w, dist in seen.items():
-            scored.append((w, dist, self._score(token, w, dist)))
+        for w in {w for d in _deletes(token, self.max_dist) for w in self.index.get(d, ())}:
+            dist, pairs = edit_ops(token, w)
+            if dist <= self.max_dist:
+                scored.append((w, dist, self._score(token, w, pairs)))
         scored.sort(key=lambda t: (-t[2], t[1], t[0]))
         return scored[: self.max_candidates]
 
-    def _score(self, token: str, cand: str, dist: int) -> float:
-        """log-domain: freq prior + channel-model confusion weights."""
+    def _score(self, token: str, cand: str, pairs: list) -> float:
+        """log-domain: freq prior + channel-model weights along ``pairs``."""
         s = math.log(self.lexicon.get(cand, 1) / self.total)
-        _, pairs = edit_ops(token, cand)
         for ai, bi in pairs:
             a = token[ai] if ai is not None else ""
             b = cand[bi] if bi is not None else ""
@@ -143,22 +140,16 @@ class PostCorrector:
         """Prior-ranked candidates with the peer-vote merge — ONE
         candidate list shared by ranking, training-example extraction
         and the fixed vote, so the ranker scores exactly what inference
-        sees."""
-        from ..util import lev_within, levenshtein
-
+        sees. The peer votes iff its edit distance is ≤ ``max_dist + 1``."""
         cands = self.candidates(key)
-        if (
-            peer_key
-            and peer_key != key
-            and peer_key in self.lexicon
-            and lev_within(key, peer_key, self.max_dist + 1)
-        ):
-            d = levenshtein(key, peer_key)
-            score = self._score(key, peer_key, d) + self.VOTE_BONUS
-            cands = sorted(
-                [c for c in cands if c[0] != peer_key] + [(peer_key, d, score)],
-                key=lambda t: (-t[2], t[1], t[0]),
-            )[: self.max_candidates]
+        if peer_key and peer_key != key and peer_key in self.lexicon:
+            d, pairs = edit_ops(key, peer_key)
+            if d <= self.max_dist + 1:
+                score = self._score(key, peer_key, pairs) + self.VOTE_BONUS
+                cands = sorted(
+                    [c for c in cands if c[0] != peer_key] + [(peer_key, d, score)],
+                    key=lambda t: (-t[2], t[1], t[0]),
+                )[: self.max_candidates]
         return cands
 
     def cand_features(self, key: str, peer_key: str, cands: list[tuple[str, int, float]], *, include_keep: bool = False) -> np.ndarray:
@@ -346,14 +337,7 @@ def line_confusions(texts: list, gts: list, sample_rate: float | None) -> pa.Arr
     src, dst, n, offsets = [], [], [], [0]
     for t, g, k in zip(texts, gts, keep):
         if k and t != g:
-            counts: Counter = Counter()
-            _, pairs = edit_ops(t, g)
-            for ai, bi in pairs:
-                a = t[ai] if ai is not None else ""
-                b = g[bi] if bi is not None else ""
-                if a != b:
-                    counts[(a, b)] += 1
-            for (a, b), c in counts.items():
+            for (a, b), c in edit_confusions(t, g).items():
                 src.append(a)
                 dst.append(b)
                 n.append(c)

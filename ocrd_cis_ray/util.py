@@ -5,7 +5,7 @@ function surface of the reference (SURVEY.md §2.8):
 
 - Levenshtein distance       (reference uses the C `Levenshtein` lib at
   ocrd_cis/align/cli.py:214, ocrd_cis/div/stats.py:84)
-- pure edit alignment with op extraction (reference: ocrolib/edist.py:21-83)
+- edit script and its confusion counts (reference: ocrolib/edist.py:21-83)
 - token cleaning             (reference: ocrd_cis/aio/aio.py:454-460)
 - NFKC normalization         (reference: ocrolib/lstm.py:837-838)
 
@@ -20,8 +20,7 @@ import hashlib
 import re
 import unicodedata
 import zlib
-
-import numpy as np
+from collections import Counter
 
 # ---------------------------------------------------------------------------
 # stable hashing
@@ -135,48 +134,62 @@ def lev_within(a: str, b: str, limit: int) -> bool:
     return prev[la] <= limit
 
 
-def edit_ops(a: list[str] | str, b: list[str] | str):
-    """Full DP alignment between two sequences; returns (distance, pairs).
-
-    ``pairs`` is a list of (ai, bi) index tuples where ai/bi is None for
-    insert/delete. Semantics of the reference's xlevenshtein alignment
-    (ocrolib/edist.py:21-83) generalized to token sequences — used by the
-    n-way aligner to line up OCR variants.
-    """
+def edit_ops(a, b):
+    """Full DP alignment of two sequences (strings or token lists);
+    returns (distance, pairs). ``pairs`` is the edit script: (ai, bi)
+    index tuples in order, ai/bi None for an insertion/deletion; the
+    backtrace prefers the diagonal, then a deletion, then an insertion
+    (the reference's xlevenshtein alignment, ocrolib/edist.py:21-83).
+    Plain Python: on words and lines, numpy's per-call dispatch costs
+    more than the DP."""
     n, m = len(a), len(b)
-    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-    dp[:, 0] = np.arange(n + 1)
-    dp[0, :] = np.arange(m + 1)
-    if n and m:
-        # vectorized row fill: the sequential row[j-1]+1 dependency is
-        # resolved with the cummin identity row[j]-j = min_{k<=j}(t[k]-k)
-        if isinstance(a, str) and isinstance(b, str):
-            bb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-            aa = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-            neq = aa[:, None] != bb[None, :]
-        else:
-            neq = np.array([[x != y for y in b] for x in a], dtype=bool)
-        js = np.arange(1, m + 1, dtype=np.int32)
-        for i in range(1, n + 1):
-            prev = dp[i - 1]
-            t = np.minimum(prev[1:] + 1, prev[:-1] + neq[i - 1])
-            t = np.minimum(t, js + i)  # k=0 path: row[0]=i, cost i+j
-            dp[i, 1:] = np.minimum.accumulate(t - js) + js
-    # backtrace
+    prev = list(range(m + 1))
+    dp = [prev]
+    for i in range(1, n + 1):
+        x = a[i - 1]
+        left = i
+        cur = [i]
+        push = cur.append
+        for y, d, u in zip(b, prev, prev[1:]):
+            # on a match the diagonal is the minimum (neighbours differ
+            # by at most 1); otherwise 1 + min(diagonal, up, left)
+            if x != y:
+                if u < d:
+                    d = u
+                if left < d:
+                    d = left
+                d += 1
+            push(d)
+            left = d
+        dp.append(cur)
+        prev = cur
     pairs: list[tuple[int | None, int | None]] = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (0 if a[i - 1] == b[j - 1] else 1):
+        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1):
             pairs.append((i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
             pairs.append((i - 1, None))
             i -= 1
         else:
             pairs.append((None, j - 1))
             j -= 1
     pairs.reverse()
-    return int(dp[n, m]), pairs
+    return dp[n][m], pairs
+
+
+def edit_confusions(a: str, b: str) -> Counter:
+    """The (a_char, b_char) counts of ``edit_ops(a, b)``'s script, in
+    script order: "" stands for the empty side of an indel, identities
+    are skipped (channel-model confusions, per-error-type CER)."""
+    counts: Counter = Counter()
+    for ai, bi in edit_ops(a, b)[1]:
+        x = a[ai] if ai is not None else ""
+        y = b[bi] if bi is not None else ""
+        if x != y:
+            counts[(x, y)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocrd_cis_ray.corpus import corrupt_text, synth_batch, synth_variants_batch
 from ocrd_cis_ray.stages.align import NWayAligner, match_cursor
 from ocrd_cis_ray.stages.dedup import _popcount64, _shingle_hashes, simhash_batch
 from ocrd_cis_ray.stages.extract import extract_spans_batch, flatten_spans_batch
 from ocrd_cis_ray.stages.metrics import cer_partials_batch, wer_partials_batch
-from ocrd_cis_ray.util import edit_ops, lev_within, levenshtein, nfkc
+from ocrd_cis_ray.util import edit_confusions, edit_ops, lev_within, levenshtein, nfkc
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,79 @@ def test_edit_ops_alignment():
     assert d == 1
     subs = [(a, b) for a, b in pairs if a is not None and b is not None]
     assert (1, 1) in subs
+
+
+def _edit_ops_numpy(a, b):
+    """Reference: the numpy row-fill DP (cummin identity per row) with
+    the same backtrace, as ``edit_ops`` was before its plain-Python DP."""
+    n, m = len(a), len(b)
+    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
+    dp[:, 0] = np.arange(n + 1)
+    dp[0, :] = np.arange(m + 1)
+    if n and m:
+        neq = np.array([[x != y for y in b] for x in a], dtype=bool)
+        js = np.arange(1, m + 1, dtype=np.int32)
+        for i in range(1, n + 1):
+            prev = dp[i - 1]
+            t = np.minimum(prev[1:] + 1, prev[:-1] + neq[i - 1])
+            t = np.minimum(t, js + i)
+            dp[i, 1:] = np.minimum.accumulate(t - js) + js
+    pairs = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (0 if a[i - 1] == b[j - 1] else 1):
+            pairs.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+            pairs.append((i - 1, None))
+            i -= 1
+        else:
+            pairs.append((None, j - 1))
+            j -= 1
+    pairs.reverse()
+    return int(dp[n, m]), pairs
+
+
+_SEQS = st.one_of(
+    st.text(alphabet="abé中 ", max_size=12),
+    st.text(max_size=8),
+    st.lists(st.sampled_from(["the", "tho", "a", "", "straße"]), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEQS, _SEQS)
+def test_edit_ops_matches_numpy_reference(a, b):
+    """The plain-Python DP gives the reference's (distance, script) for
+    strings (ASCII or not), token lists and empty inputs; the distance
+    is ``levenshtein``; the script visits each index of ``a`` and of
+    ``b`` once, in order; its non-identity pairs number the distance."""
+    d, pairs = edit_ops(a, b)
+    assert (d, pairs) == _edit_ops_numpy(a, b)
+    assert d == levenshtein(a, b)
+    assert [i for i, _ in pairs if i is not None] == list(range(len(a)))
+    assert [j for _, j in pairs if j is not None] == list(range(len(b)))
+    assert sum(i is None or j is None or a[i] != b[j] for i, j in pairs) == d
+    if isinstance(a, str) and isinstance(b, str):
+        assert sum(edit_confusions(a, b).values()) == d
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        ("aa", "a", (1, [(0, None), (1, 0)])),
+        ("a", "aa", (1, [(None, 0), (0, 1)])),
+        ("ab", "ba", (2, [(0, 0), (1, 1)])),
+        ("abc", "cab", (2, [(None, 0), (0, 1), (1, 2), (2, None)])),
+        ("aab", "ab", (1, [(0, None), (1, 0), (2, 1)])),
+        ("", "ab", (2, [(None, 0), (None, 1)])),
+        ("ab", "", (2, [(0, None), (1, None)])),
+        (["the", "cat"], ["the", "the", "cat"], (1, [(None, 0), (0, 1), (1, 2)])),
+    ],
+)
+def test_edit_ops_tie_breaks(a, b, want):
+    """Ties resolve diagonal first, then deletion, then insertion."""
+    assert edit_ops(a, b) == want
 
 
 def test_nfkc():

@@ -79,6 +79,55 @@ def test_postcorrector_max_candidates():
     assert len(cands) == 10
 
 
+def _reference_candidates(pc: PostCorrector, token: str, peer: str = "") -> list:
+    """Brute force over the whole lexicon: every word within
+    ``max_dist`` (by ``levenshtein``), scored from its edit script, plus
+    the peer vote within ``max_dist + 1``; sorted by (-score, distance,
+    word), top ``max_candidates``."""
+    import math
+
+    from ocrd_cis_ray.util import edit_ops, levenshtein
+
+    def score(w):
+        s = math.log(pc.lexicon.get(w, 1) / pc.total)
+        for i, j in edit_ops(token, w)[1]:
+            a = token[i] if i is not None else ""
+            b = w[j] if j is not None else ""
+            if a != b:
+                c = pc.confusions.get((a, b))
+                s += math.log(c) if c and c > 0 else -4.0
+        return s
+
+    out = {w: (w, levenshtein(token, w), score(w)) for w in pc.lexicon if levenshtein(token, w) <= pc.max_dist}
+    key = lambda t: (-t[2], t[1], t[0])  # noqa: E731
+    out = dict(sorted(out.items(), key=lambda kv: key(kv[1]))[: pc.max_candidates])
+    if peer and peer != token and peer in pc.lexicon and levenshtein(token, peer) <= pc.max_dist + 1:
+        out[peer] = (peer, levenshtein(token, peer), score(peer) + pc.VOTE_BONUS)
+    return sorted(out.values(), key=key)[: pc.max_candidates]
+
+
+_LEX_WORDS = st.text(alphabet="abcé", min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(_LEX_WORDS, st.integers(1, 50), min_size=1, max_size=25),
+    st.text(alphabet="abcéx", max_size=7),
+    st.integers(0, 24),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.dictionaries(st.tuples(st.sampled_from(["", "a", "b", "c", "x"]), st.sampled_from(["", "a", "b", "é"])), st.floats(0.01, 1.0), max_size=6),
+)
+def test_candidates_match_brute_force(lexicon, token, peer_ix, max_dist, max_candidates, confusions):
+    """The delete-variant index finds every lexicon word within
+    ``max_dist``, so ``candidates`` and the peer-vote merge of
+    ``merged_candidates`` equal a brute force over the lexicon."""
+    pc = PostCorrector(lexicon, confusions, max_dist=max_dist, max_candidates=max_candidates)
+    peer = sorted(lexicon)[peer_ix % len(lexicon)]
+    assert pc.candidates(token) == _reference_candidates(pc, token)
+    assert pc.merged_candidates(token, peer) == _reference_candidates(pc, token, peer)
+
+
 def test_postcorrect_stage(ray_session):
     import ray.data as rd
 
